@@ -211,7 +211,6 @@ class BatchPlan:
     """Precomputed epoch of batches; indices refer to the train-split list."""
     epoch: int
     batches: list
-    class_weights: dict
 
 
 def balanced_batches(train_samples, batch_size, epoch_len, rng: RngStream,
@@ -220,8 +219,9 @@ def balanced_batches(train_samples, batch_size, epoch_len, rng: RngStream,
     uniform pick within it, so minority samples repeat (oversampling)."""
     if batch_size < 2:
         raise InvalidParameterError("batch_size must be >= 2")
-    if epoch_len < 1:
-        raise InvalidParameterError("epoch_len must be >= 1")
+    if epoch_len < 2:
+        raise InvalidParameterError(
+            "epoch_len must be >= 2: one draw makes a batch of one")
     pos = [i for i, s in enumerate(train_samples) if s.label == LABEL_ERUPTION]
     neg = [i for i, s in enumerate(train_samples) if s.label == LABEL_NO_ERUPTION]
     if not pos or not neg:
@@ -234,8 +234,7 @@ def balanced_batches(train_samples, batch_size, epoch_len, rng: RngStream,
     batches = [draws[i:i + batch_size] for i in range(0, epoch_len, batch_size)]
     if len(batches) > 1 and len(batches[-1]) == 1:
         batches[-2].extend(batches.pop())  # avoid a degenerate batch of one
-    weights = {LABEL_ERUPTION: 1.0 / len(pos), LABEL_NO_ERUPTION: 1.0 / len(neg)}
-    return BatchPlan(epoch=epoch, batches=batches, class_weights=weights)
+    return BatchPlan(epoch=epoch, batches=batches)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Layers, loss and optimizer for the eruption-detector CNNs.
 
 Every forward and backward pass is hand-derived and runs on plain numpy
-arrays; there is no autodiff graph.  Public layer methods take feature maps
-in the conventional (N, C, H, W) order.  The training hot path uses the
-``*_nhwc`` variants, which keep maps channels-last (N, H, W, C) so the
-im2col GEMMs and per-channel reductions hit contiguous memory; both views
-compute identical values.
+arrays; there is no autodiff graph.  Feature maps are channels-last
+(N, H, W, C) throughout, so the im2col GEMMs and per-channel reductions hit
+contiguous memory.  Composites are stored (C, H, W); a caller transposes
+once, at the model input, and never again.  Weights keep their canonical
+layouts: conv (out, in, kh, kw), dense (out, in).
 
 Convolution is stride (1, 1) with "same" zero padding and is evaluated as
 one GEMM per image over an im2col matrix with (kh, kw, c) column order.
@@ -33,14 +33,6 @@ from .tensor import DEFAULT_DTYPE, RngStream
 BCE_CLAMP = 1e-7
 
 
-def _nchw_to_nhwc(x):
-    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
-
-
-def _nhwc_to_nchw(x):
-    return np.ascontiguousarray(x.transpose(0, 3, 1, 2))
-
-
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
@@ -52,20 +44,13 @@ class Conv2d:
     weights: (out_channels, in_channels, kh, kw); bias: (out_channels,).
     """
 
-    def __init__(self, in_channels, out_channels, kernel=(3, 3), stride=(1, 1),
-                 padding="same", dtype=DEFAULT_DTYPE):
-        if stride != (1, 1):
-            raise InvalidParameterError("only stride (1, 1) is supported")
-        if padding != "same":
-            raise InvalidParameterError('only "same" padding is supported')
+    def __init__(self, in_channels, out_channels, kernel=(3, 3), dtype=DEFAULT_DTYPE):
         kh, kw = kernel
         if kh % 2 != 1 or kw % 2 != 1:
             raise InvalidParameterError("kernel dims must be odd for same padding")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = (kh, kw)
-        self.stride = stride
-        self.padding = padding
         self.dtype = np.dtype(dtype)
         self.weights = np.zeros((out_channels, in_channels, kh, kw), dtype=dtype)
         self.bias = np.zeros(out_channels, dtype=dtype)
@@ -100,6 +85,9 @@ class Conv2d:
                   win.transpose(0, 1, 3, 4, 2))
 
     def forward_nhwc(self, x):
+        """Same-padded cross-correlation plus bias on (N, H, W, C) input."""
+        if x.ndim != 4:
+            raise ShapeError(f"expected 4-d input, got shape {x.shape}")
         N, H, W, C = x.shape
         if C != self.in_channels:
             raise ShapeError(f"expected {self.in_channels} input channels, got {C}")
@@ -118,7 +106,11 @@ class Conv2d:
         return y
 
     def backward_nhwc(self, x, grad_out, need_grad_input=True):
+        """Gradients of forward_nhwc: (grad_input or None, grad_weights, grad_bias)."""
         N, H, W, C = x.shape
+        if C != self.in_channels or grad_out.shape != (N, H, W, self.out_channels):
+            raise ShapeError(f"grad_out {grad_out.shape} does not match input "
+                             f"{x.shape} through a {C}->{self.out_channels} conv")
         kh, kw = self.kernel
         ph, pw = kh // 2, kw // 2
         K = self.out_channels
@@ -150,24 +142,6 @@ class Conv2d:
             grad_w.reshape(kh, kw, C, K).transpose(3, 2, 0, 1))
         return grad_x, grad_w, grad_b
 
-    def forward(self, x):
-        """Same-padded cross-correlation plus bias on (N, C, H, W) input."""
-        if x.ndim != 4:
-            raise ShapeError(f"expected 4-d input, got shape {x.shape}")
-        if x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"expected {self.in_channels} input channels, got {x.shape[1]}")
-        return _nhwc_to_nchw(self.forward_nhwc(_nchw_to_nhwc(x)))
-
-    def backward(self, x, grad_out):
-        """Gradients of forward: (grad_input, grad_weights, grad_bias)."""
-        if x.shape[1] != self.in_channels or grad_out.shape[1] != self.out_channels:
-            raise ShapeError("channel counts do not match layer")
-        if grad_out.shape[0] != x.shape[0] or grad_out.shape[2:] != x.shape[2:]:
-            raise ShapeError("grad_out spatial/batch dims do not match input")
-        gx, gw, gb = self.backward_nhwc(_nchw_to_nhwc(x), _nchw_to_nhwc(grad_out))
-        return _nhwc_to_nchw(gx), gw, gb
-
 
 # ---------------------------------------------------------------------------
 # batch normalization
@@ -194,6 +168,7 @@ class BatchNorm2d:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape[-1]}")
 
     def forward_train_nhwc(self, x):
+        """Normalize by batch statistics; returns (y, cache), updates running stats."""
         self._check_channels(x)
         if x.shape[0] < 2:
             raise DegenerateBatchError("train-mode batchnorm needs batch size >= 2")
@@ -214,6 +189,7 @@ class BatchNorm2d:
         return y, cache
 
     def forward_infer_nhwc(self, x):
+        """Normalize by the running statistics."""
         self._check_channels(x)
         inv = (1.0 / np.sqrt(self.running_var + self.epsilon)).astype(self.dtype)
         a = self.gamma * inv
@@ -237,24 +213,6 @@ class BatchNorm2d:
         gx += np.multiply(x, B, dtype=self.dtype)
         gx += C
         return gx, grad_gamma, grad_beta
-
-    def forward(self, x, mode="infer"):
-        """Normalize (N, C, H, W) by batch stats (train) or running stats (infer).
-
-        Train mode returns (y, cache) and updates running statistics;
-        infer mode returns y alone.
-        """
-        xh = _nchw_to_nhwc(x)
-        if mode == "train":
-            y, cache = self.forward_train_nhwc(xh)
-            return _nhwc_to_nchw(y), cache
-        if mode == "infer":
-            return _nhwc_to_nchw(self.forward_infer_nhwc(xh))
-        raise InvalidParameterError(f"unknown mode {mode!r}")
-
-    def backward(self, cache, grad_out):
-        gx, gg, gb = self.backward_nhwc(cache, _nchw_to_nhwc(grad_out))
-        return _nhwc_to_nchw(gx), gg, gb
 
 
 # ---------------------------------------------------------------------------
@@ -354,42 +312,17 @@ def maxpool2x2_backward_nhwc(idx, grad_out):
     return np.ascontiguousarray(gx).reshape(N, Ho * 2, Wo * 2, C)
 
 
-def max_pool(x, k=2, s=2):
-    """2x2 stride-2 max pool on (N, C, H, W); halves H and W."""
-    if (k, s) != (2, 2):
-        raise InvalidParameterError("only k=2, s=2 pooling is supported")
-    y, _ = maxpool2x2_forward_nhwc(_nchw_to_nhwc(x))
-    return _nhwc_to_nchw(y)
-
-
-def max_pool_backward(x, grad_out, k=2, s=2):
-    if (k, s) != (2, 2):
-        raise InvalidParameterError("only k=2, s=2 pooling is supported")
-    _, idx = maxpool2x2_forward_nhwc(_nchw_to_nhwc(x))
-    return _nhwc_to_nchw(maxpool2x2_backward_nhwc(idx, _nchw_to_nhwc(grad_out)))
-
-
-def global_avg_pool(x):
-    """Mean over each channel plane: (N, C, H, W) -> (N, C)."""
+def gap_forward_nhwc(x):
+    """Mean over each channel plane: (N, H, W, C) -> (N, C)."""
     if x.ndim != 4:
         raise ShapeError(f"expected 4-d input, got shape {x.shape}")
-    return x.mean(axis=(2, 3))
-
-
-def global_avg_pool_backward(input_shape, grad_out):
-    N, C, H, W = input_shape
-    if grad_out.shape != (N, C):
-        raise ShapeError("grad_out shape does not match pooled output")
-    g = (grad_out / (H * W)).astype(grad_out.dtype)
-    return np.broadcast_to(g[:, :, None, None], input_shape).copy()
-
-
-def gap_forward_nhwc(x):
     return x.mean(axis=(1, 2))
 
 
 def gap_backward_nhwc(input_shape, grad_out):
     N, H, W, C = input_shape
+    if grad_out.shape != (N, C):
+        raise ShapeError("grad_out shape does not match pooled output")
     g = (grad_out / (H * W)).astype(grad_out.dtype)
     return np.broadcast_to(g[:, None, None, :], input_shape).copy()
 

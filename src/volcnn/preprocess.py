@@ -115,6 +115,8 @@ class RgbComposite:
     def validate(self):
         if self.pixels.shape != (3,) + COMPOSITE_SIZE:
             raise ShapeError(f"composite shape {self.pixels.shape}")
+        if not np.all(np.isfinite(self.pixels)):
+            raise ShapeError("composite contains non-finite values")
         if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
             raise ShapeError("composite values outside [0, 1]")
         return self
@@ -289,6 +291,7 @@ def preprocess_raw(raw: BandPatch, profile: SensorProfile | None = None,
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sHHB")  # magic, H, W, sensor id
+_SENSOR_OFFSET = _HEADER.size - 1
 
 
 def _write_planes(path, magic, planes, sensor_id):
@@ -312,6 +315,9 @@ def _read_planes(path, magic, n_planes):
         if len(data) != want:
             raise ModelFormatError(
                 f"{path}: truncated planes at offset {_HEADER.size + len(data)}")
+        if f.read(1):
+            raise ModelFormatError(
+                f"{path}: trailing bytes at offset {_HEADER.size + want}")
     arr = np.frombuffer(data, dtype="<f4").reshape(n_planes, H, W)
     return arr.astype(np.float32), sensor_id
 
@@ -324,7 +330,11 @@ def save_band_planes(path, patch: BandPatch):
 def load_band_planes(path):
     """Read a VBP1 file -> (planes (5, H, W) float32, Sensor)."""
     planes, sensor_id = _read_planes(path, PATCH_MAGIC, 5)
-    return planes, Sensor(sensor_id)
+    try:
+        return planes, Sensor(sensor_id)
+    except ValueError:
+        raise ModelFormatError(f"{path}: unknown sensor id {sensor_id} "
+                               f"at offset {_SENSOR_OFFSET}") from None
 
 
 def save_composite(path, composite: RgbComposite):

@@ -1,4 +1,4 @@
-"""Dense tensor construction and deterministic randomness.
+"""Working precision and deterministic randomness.
 
 Tensors are plain numpy arrays in row-major (C) order.  32-bit floats are
 the working precision for training and inference; 64-bit mode exists for
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameterError, ShapeError
+from .errors import InvalidParameterError
 
 DEFAULT_DTYPE = np.float32
 
@@ -28,26 +28,6 @@ _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 _U64 = np.uint64
 _TWO53 = float(1 << 53)
-
-
-def tensor_new(shape, fill="zeros", dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """Allocate a tensor of the given shape, filled with zeros, ones or a constant.
-
-    Raises ShapeError for an empty shape or any dimension < 1.
-    """
-    shape = tuple(int(d) for d in shape)
-    if len(shape) == 0:
-        raise ShapeError("tensor shape must have at least one dimension")
-    for d in shape:
-        if d < 1:
-            raise ShapeError(f"tensor dimensions must be >= 1, got {shape}")
-    if isinstance(fill, str):
-        if fill == "zeros":
-            return np.zeros(shape, dtype=dtype)
-        if fill == "ones":
-            return np.ones(shape, dtype=dtype)
-        raise InvalidParameterError(f"unknown fill {fill!r}")
-    return np.full(shape, float(fill), dtype=dtype)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -120,11 +100,3 @@ class RngStream:
         if bound < 1:
             raise InvalidParameterError("bound must be >= 1")
         return np.minimum((self.uniform(n) * bound).astype(np.int64), bound - 1)
-
-
-def rng_uniform(stream: RngStream, n: int) -> np.ndarray:
-    return stream.uniform(n)
-
-
-def rng_gaussian(stream: RngStream, n: int) -> np.ndarray:
-    return stream.gaussian(n)

@@ -4,6 +4,8 @@ Each check builds a random small instance in float64, forms the scalar
 loss L = sum(R * f(x)) for a fixed random cotangent R, and compares the
 analytic vector-Jacobian products against central differences (h=1e-5).
 Returns the worst elementwise relative error across all checked gradients.
+Feature maps are drawn in (N, C, H, W) order and moved to the library's
+channels-last layout once, before the check.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import numpy as np
 from volcnn import nn
 from volcnn.tensor import RngStream
 
-from oracles import fd_grad, max_rel_err
+from oracles import fd_grad, max_rel_err, to_nhwc
 
 H_FD = 1e-5
 
@@ -29,10 +31,10 @@ def check_conv(seed):
     layer = nn.Conv2d(cin, cout, dtype=np.float64)
     layer.weights = _gauss(rng, cout, cin, 3, 3) * 0.5
     layer.bias = _gauss(rng, cout) * 0.1
-    x = _gauss(rng, n, cin, hw, hw)
-    r = _gauss(rng, n, cout, hw, hw)
-    loss = lambda: float(np.sum(layer.forward(x) * r))
-    gx, gw, gb = layer.backward(x, r)
+    x = to_nhwc(_gauss(rng, n, cin, hw, hw))
+    r = to_nhwc(_gauss(rng, n, cout, hw, hw))
+    loss = lambda: float(np.sum(layer.forward_nhwc(x) * r))
+    gx, gw, gb = layer.backward_nhwc(x, r)
     return max(
         max_rel_err(gx, fd_grad(loss, x, H_FD)),
         max_rel_err(gw, fd_grad(loss, layer.weights, H_FD)),
@@ -48,15 +50,15 @@ def check_batchnorm(seed):
     layer = nn.BatchNorm2d(c, dtype=np.float64)
     layer.gamma = 0.5 + rng.uniform(c)
     layer.beta = _gauss(rng, c) * 0.3
-    x = _gauss(rng, n, c, hw, hw) * 2.0
-    r = _gauss(rng, n, c, hw, hw)
+    x = to_nhwc(_gauss(rng, n, c, hw, hw) * 2.0)
+    r = to_nhwc(_gauss(rng, n, c, hw, hw))
 
     def loss():
-        y, _ = layer.forward(x, mode="train")
+        y, _ = layer.forward_train_nhwc(x)
         return float(np.sum(y * r))
 
-    _, cache = layer.forward(x, mode="train")
-    gx, gg, gb = layer.backward(cache, r)
+    _, cache = layer.forward_train_nhwc(x)
+    gx, gg, gb = layer.backward_nhwc(cache, r)
     return max(
         max_rel_err(gx, fd_grad(loss, x, H_FD)),
         max_rel_err(gg, fd_grad(loss, layer.gamma, H_FD)),
@@ -96,19 +98,20 @@ def check_relu(seed):
 def check_maxpool(seed):
     rng = RngStream(seed)
     n, c = 2, 2
-    x = _gauss(rng, n, c, 4, 6)
-    r = _gauss(rng, n, c, 2, 3)
-    loss = lambda: float(np.sum(nn.max_pool(x) * r))
-    gx = nn.max_pool_backward(x, r)
+    x = to_nhwc(_gauss(rng, n, c, 4, 6))
+    r = to_nhwc(_gauss(rng, n, c, 2, 3))
+    loss = lambda: float(np.sum(nn.maxpool2x2_forward_nhwc(x)[0] * r))
+    _, idx = nn.maxpool2x2_forward_nhwc(x)
+    gx = nn.maxpool2x2_backward_nhwc(idx, r)
     return max_rel_err(gx, fd_grad(loss, x, H_FD))
 
 
 def check_gap(seed):
     rng = RngStream(seed)
-    x = _gauss(rng, 2, 3, 4, 4)
+    x = to_nhwc(_gauss(rng, 2, 3, 4, 4))
     r = _gauss(rng, 2, 3)
-    loss = lambda: float(np.sum(nn.global_avg_pool(x) * r))
-    gx = nn.global_avg_pool_backward(x.shape, r)
+    loss = lambda: float(np.sum(nn.gap_forward_nhwc(x) * r))
+    gx = nn.gap_backward_nhwc(x.shape, r)
     return max_rel_err(gx, fd_grad(loss, x, H_FD))
 
 

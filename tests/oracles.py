@@ -1,10 +1,20 @@
 """Independent reference implementations used as test oracles.
 
 These are deliberately written the slow, obvious way (nested loops, direct
-formulas) and never share code with the library paths they check.
+formulas) and never share code with the library paths they check.  They
+take feature maps in (N, C, H, W) order; the library is channels-last, so a
+test moves its arrays across with ``to_nhwc``/``to_nchw``.
 """
 
 import numpy as np
+
+
+def to_nhwc(x):
+    return np.ascontiguousarray(np.transpose(x, (0, 2, 3, 1)))
+
+
+def to_nchw(x):
+    return np.ascontiguousarray(np.transpose(x, (0, 3, 1, 2)))
 
 
 def conv2d_reference(x, weights, bias):

@@ -1,0 +1,133 @@
+import datetime
+import os
+
+import numpy as np
+import pytest
+
+from volcnn import dataset as ds
+from volcnn.errors import CatalogError, InvalidParameterError
+from volcnn.tensor import RngStream
+
+SIZE = 32  # small patches keep the synthetic tests fast
+
+CATALOG = (
+    "Eruption Start Time,Volcano name,Latitude (deg),Longitude (deg)\n"
+    "2018-05-03,Kilauea,19.421,-155.287\n"
+    "\n"
+    '2021-09-19,"Cumbre Vieja, La Palma",28.570,-17.840\n'
+    "2010-04-14,Eyjafjallajokull,63.630,-19.620\n"
+)
+
+
+class TestCatalog:
+    def test_parse_serialize_parse_round_trip(self):
+        records = ds.parse_catalog(CATALOG)
+        assert [r.volcano_name for r in records] == [
+            "Kilauea", "Cumbre Vieja, La Palma", "Eyjafjallajokull"]
+        assert records[0].start_date == datetime.date(2018, 5, 3)
+        assert records[1].latitude == pytest.approx(28.57)
+        text = ds.serialize_catalog(records)
+        assert ds.parse_catalog(text) == records
+        assert ds.serialize_catalog(ds.parse_catalog(text)) == text
+
+    def test_empty_text_is_empty_catalog(self):
+        assert ds.parse_catalog("  \n") == []
+
+    @pytest.mark.parametrize("text, error", [
+        # line 3 is blank and still counts
+        (CATALOG.replace("2021-09-19", "2021-19-09"), "^line 4: malformed date"),
+        (CATALOG.replace("63.630", "93.630"), "^line 5: latitude out of range"),
+        ("date,name,lat,lon\n2018-05-03,Kilauea,19.4,-155.3\n",
+         "^line 1: expected header"),
+    ], ids=["date", "latitude", "header"])
+    def test_error_names_its_line(self, text, error):
+        with pytest.raises(CatalogError, match=error):
+            ds.parse_catalog(text)
+
+
+@pytest.fixture(scope="module")
+def synth(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth")
+    manifest = ds.synth_generate(10, seed=7, out_dir=str(out), size=SIZE)
+    return out, manifest
+
+
+def _tree_bytes(root):
+    files = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                files[os.path.relpath(path, root)] = f.read()
+    return files
+
+
+class TestManifest:
+    def test_default_split_is_stratified(self, synth):
+        _, manifest = synth
+        assert len(manifest) == 20
+        for label in (ds.LABEL_ERUPTION, ds.LABEL_NO_ERUPTION):
+            counts = {name: sum(1 for s in manifest.split(name) if s.label == label)
+                      for name in ("train", "val", "test")}
+            # floor(0.7 * 10), floor(0.1 * 10), remainder
+            assert counts == {"train": 7, "val": 1, "test": 2}
+
+    def test_split_floors_each_class(self, synth):
+        root, _ = synth
+        manifest = ds.build_manifest(str(root), split_fracs=(0.5, 0.25, 0.25), seed=3)
+        for label in (ds.LABEL_ERUPTION, ds.LABEL_NO_ERUPTION):
+            got = [s.split for s in manifest.samples if s.label == label]
+            # floor(0.5 * 10), floor(0.25 * 10), remainder
+            assert [got.count(n) for n in ("train", "val", "test")] == [5, 2, 3]
+
+    def test_save_load_round_trip(self, synth, tmp_path):
+        _, manifest = synth
+        path = tmp_path / ds.MANIFEST_FILENAME
+        manifest.save(path)
+        assert ds.DatasetManifest.load(path).samples == manifest.samples
+
+
+class TestSynthGenerate:
+    def test_same_seed_gives_byte_identical_files(self, synth, tmp_path):
+        root, _ = synth
+        ds.synth_generate(10, seed=7, out_dir=str(tmp_path / "again"), size=SIZE)
+        first = _tree_bytes(root)
+        assert len(first) == 40  # bands.vbp + meta.json per sample
+        assert _tree_bytes(tmp_path / "again") == first
+
+    def test_other_seed_differs(self, synth, tmp_path):
+        root, _ = synth
+        ds.synth_generate(10, seed=8, out_dir=str(tmp_path / "other"), size=SIZE)
+        assert _tree_bytes(tmp_path / "other") != _tree_bytes(root)
+
+    def test_eruptions_hot_and_clouds_cold_in_swir2(self, synth):
+        _, manifest = synth
+        seen = set()
+        for sample in manifest.samples:
+            patch, label, subclass = ds.load_sample(sample)
+            assert patch.swir2.shape == (SIZE, SIZE)
+            seen.add(subclass)
+            if subclass == ds.SUBCLASS_ERUPTION:
+                assert label == ds.LABEL_ERUPTION
+                assert patch.swir2.max() >= 0.6
+            else:
+                assert label == ds.LABEL_NO_ERUPTION
+            if subclass == "cloudy":
+                # planes are stored as float32, so the ceiling is float32(0.2)
+                assert patch.swir2.max() <= np.float32(0.2)
+        assert seen == {ds.SUBCLASS_ERUPTION, *ds.SUBCLASSES_NEGATIVE}
+
+
+class TestBalancedBatches:
+    def test_epoch_of_one_draw_rejected(self, synth):
+        _, manifest = synth
+        with pytest.raises(InvalidParameterError, match="epoch_len"):
+            ds.balanced_batches(manifest.split("train"), 4, 1, RngStream(0))
+
+    def test_batches_cover_epoch_without_a_batch_of_one(self, synth):
+        _, manifest = synth
+        train = manifest.split("train")
+        for epoch_len in (2, 5, 9):
+            plan = ds.balanced_batches(train, 4, epoch_len, RngStream(epoch_len))
+            assert sum(len(b) for b in plan.batches) == epoch_len
+            assert min(len(b) for b in plan.batches) >= 2

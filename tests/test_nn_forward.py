@@ -5,21 +5,22 @@ from volcnn import nn
 from volcnn.errors import DegenerateBatchError, InvalidParameterError, ShapeError
 from volcnn.tensor import RngStream
 
-from oracles import adam_scalar_reference, conv2d_reference, max_rel_err
+from oracles import (adam_scalar_reference, conv2d_reference, max_rel_err,
+                     to_nchw, to_nhwc)
 
 
 class TestConv2d:
     def test_identity_scale_kernel(self):
         layer = nn.Conv2d(1, 1, kernel=(1, 1))
         layer.weights[:] = 2.0
-        x = np.ones((1, 1, 3, 3), dtype=np.float32)
-        y = layer.forward(x)
+        x = np.ones((1, 3, 3, 1), dtype=np.float32)
+        y = layer.forward_nhwc(x)
         np.testing.assert_allclose(y, 2.0)
 
     def test_same_padding_shape_512(self):
         layer = nn.Conv2d(3, 16)
-        x = np.zeros((1, 3, 512, 512), dtype=np.float32)
-        assert layer.forward(x).shape == (1, 16, 512, 512)
+        x = np.zeros((1, 512, 512, 3), dtype=np.float32)
+        assert layer.forward_nhwc(x).shape == (1, 512, 512, 16)
 
     def test_matches_bruteforce_oracle(self):
         rng = RngStream(100)
@@ -27,51 +28,75 @@ class TestConv2d:
         layer.init_params(rng.fork("w"))
         layer.bias = rng.gaussian(3).astype(np.float32)
         x = rng.gaussian(1 * 2 * 5 * 5).reshape(1, 2, 5, 5).astype(np.float32)
-        got = layer.forward(x)
+        got = to_nchw(layer.forward_nhwc(to_nhwc(x)))
         want = conv2d_reference(x, layer.weights, layer.bias)
         assert max_rel_err(got, want) < 1e-5
 
     def test_channel_mismatch(self):
         layer = nn.Conv2d(2, 3)
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((1, 4, 5, 5), dtype=np.float32))
+            layer.forward_nhwc(np.zeros((1, 5, 5, 4), dtype=np.float32))
+
+    def test_non_4d_input_rejected(self):
+        layer = nn.Conv2d(2, 3)
+        with pytest.raises(ShapeError, match="4-d"):
+            layer.forward_nhwc(np.zeros((5, 5, 2), dtype=np.float32))
+
+    @pytest.mark.parametrize("gy_shape", [(2, 6, 6, 3),   # batch
+                                          (1, 6, 4, 3),   # spatial
+                                          (1, 6, 6, 2)])  # channels
+    def test_backward_grad_out_mismatch_rejected(self, gy_shape):
+        layer = nn.Conv2d(2, 3)
+        x = np.zeros((1, 6, 6, 2), dtype=np.float32)
+        with pytest.raises(ShapeError):
+            layer.backward_nhwc(x, np.zeros(gy_shape, dtype=np.float32))
+
+    def test_backward_input_channel_mismatch_rejected(self):
+        layer = nn.Conv2d(2, 3)
+        x = np.zeros((1, 6, 6, 4), dtype=np.float32)
+        with pytest.raises(ShapeError):
+            layer.backward_nhwc(x, np.zeros((1, 6, 6, 3), dtype=np.float32))
 
     def test_forward_deterministic(self):
         layer = nn.Conv2d(2, 4)
         layer.init_params(RngStream(3))
-        x = RngStream(4).gaussian(2 * 2 * 6 * 6).reshape(2, 2, 6, 6).astype(np.float32)
-        np.testing.assert_array_equal(layer.forward(x), layer.forward(x))
+        x = to_nhwc(RngStream(4).gaussian(2 * 2 * 6 * 6).reshape(2, 2, 6, 6)
+                    .astype(np.float32))
+        np.testing.assert_array_equal(layer.forward_nhwc(x), layer.forward_nhwc(x))
 
     def test_backward_zero_cotangent(self):
         layer = nn.Conv2d(2, 3)
         layer.init_params(RngStream(5))
-        x = RngStream(6).gaussian(36 * 2).reshape(1, 2, 6, 6).astype(np.float32)
-        gx, gw, gb = layer.backward(x, np.zeros((1, 3, 6, 6), dtype=np.float32))
+        x = to_nhwc(RngStream(6).gaussian(36 * 2).reshape(1, 2, 6, 6)
+                    .astype(np.float32))
+        gx, gw, gb = layer.backward_nhwc(x, np.zeros((1, 6, 6, 3), dtype=np.float32))
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_grad_bias_is_channel_sum(self):
         layer = nn.Conv2d(2, 3, dtype=np.float64)
         layer.init_params(RngStream(7))
-        x = RngStream(8).gaussian(2 * 2 * 4 * 4).reshape(2, 2, 4, 4)
-        gy = RngStream(9).gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
-        _, _, gb = layer.backward(x, gy)
-        np.testing.assert_allclose(gb, gy.sum(axis=(0, 2, 3)), rtol=1e-12)
+        x = to_nhwc(RngStream(8).gaussian(2 * 2 * 4 * 4).reshape(2, 2, 4, 4))
+        gy = to_nhwc(RngStream(9).gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4))
+        _, _, gb = layer.backward_nhwc(x, gy)
+        np.testing.assert_allclose(gb, gy.sum(axis=(0, 1, 2)), rtol=1e-12)
 
 
 class TestBatchNorm2d:
     def test_infer_identity_normalization(self):
         layer = nn.BatchNorm2d(3)
-        x = RngStream(1).gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4).astype(np.float32)
-        y = layer.forward(x, mode="infer")
+        x = to_nhwc(RngStream(1).gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
+                    .astype(np.float32))
+        y = layer.forward_infer_nhwc(x)
         np.testing.assert_allclose(y, x / np.sqrt(1.0 + layer.epsilon), rtol=1e-6)
         assert np.max(np.abs(y - x)) < 0.02 * np.max(np.abs(x)) + 1e-3
 
     def test_train_normalizes_batch(self):
         layer = nn.BatchNorm2d(5)
-        x = (3.0 * RngStream(2).gaussian(8 * 5 * 6 * 6)).reshape(8, 5, 6, 6).astype(np.float32)
-        y, _ = layer.forward(x, mode="train")
-        mean = y.mean(axis=(0, 2, 3))
-        var = y.var(axis=(0, 2, 3))
+        x = to_nhwc((3.0 * RngStream(2).gaussian(8 * 5 * 6 * 6))
+                    .reshape(8, 5, 6, 6).astype(np.float32))
+        y, _ = layer.forward_train_nhwc(x)
+        mean = y.mean(axis=(0, 1, 2))
+        var = y.var(axis=(0, 1, 2))
         assert np.max(np.abs(mean)) < 1e-5
         assert np.max(np.abs(var - 1.0)) < 1e-3
 
@@ -79,37 +104,39 @@ class TestBatchNorm2d:
         layer = nn.BatchNorm2d(2)
         layer.gamma[:] = 2.0
         layer.beta[:] = 3.0
-        x = (3.0 * RngStream(3).gaussian(4 * 2 * 4 * 4)).reshape(4, 2, 4, 4).astype(np.float32)
-        y, _ = layer.forward(x, mode="train")
+        x = to_nhwc((3.0 * RngStream(3).gaussian(4 * 2 * 4 * 4))
+                    .reshape(4, 2, 4, 4).astype(np.float32))
+        y, _ = layer.forward_train_nhwc(x)
         ref = nn.BatchNorm2d(2)
-        xhat, _ = ref.forward(x, mode="train")
+        xhat, _ = ref.forward_train_nhwc(x)
         np.testing.assert_allclose(y, 2.0 * xhat + 3.0, rtol=1e-5, atol=1e-5)
 
     def test_batch_of_one_rejected(self):
         layer = nn.BatchNorm2d(2)
         with pytest.raises(DegenerateBatchError):
-            layer.forward(np.zeros((1, 2, 4, 4), dtype=np.float32), mode="train")
+            layer.forward_train_nhwc(np.zeros((1, 4, 4, 2), dtype=np.float32))
 
     def test_running_stats_move_toward_batch(self):
         layer = nn.BatchNorm2d(1)
-        x = np.full((4, 1, 2, 2), 10.0, dtype=np.float32)
-        layer.forward(x, mode="train")
+        x = np.full((4, 2, 2, 1), 10.0, dtype=np.float32)
+        layer.forward_train_nhwc(x)
         assert layer.running_mean[0] == pytest.approx(0.99 * 0.0 + 0.01 * 10.0)
 
     def test_backward_zero_cotangent(self):
         layer = nn.BatchNorm2d(3)
-        x = RngStream(4).gaussian(4 * 3 * 4 * 4).reshape(4, 3, 4, 4).astype(np.float32)
-        _, cache = layer.forward(x, mode="train")
-        gx, gg, gb = layer.backward(cache, np.zeros((4, 3, 4, 4), dtype=np.float32))
+        x = to_nhwc(RngStream(4).gaussian(4 * 3 * 4 * 4).reshape(4, 3, 4, 4)
+                    .astype(np.float32))
+        _, cache = layer.forward_train_nhwc(x)
+        gx, gg, gb = layer.backward_nhwc(cache, np.zeros((4, 4, 4, 3), dtype=np.float32))
         assert not gx.any() and not gg.any() and not gb.any()
 
     def test_grad_beta_is_channel_sum(self):
         layer = nn.BatchNorm2d(3, dtype=np.float64)
-        x = RngStream(5).gaussian(4 * 3 * 4 * 4).reshape(4, 3, 4, 4)
-        _, cache = layer.forward(x, mode="train")
-        gy = RngStream(6).gaussian(x.size).reshape(x.shape)
-        _, _, gb = layer.backward(cache, gy)
-        np.testing.assert_allclose(gb, gy.sum(axis=(0, 2, 3)), rtol=1e-12)
+        x = to_nhwc(RngStream(5).gaussian(4 * 3 * 4 * 4).reshape(4, 3, 4, 4))
+        _, cache = layer.forward_train_nhwc(x)
+        gy = to_nhwc(RngStream(6).gaussian(x.size).reshape(4, 3, 4, 4))
+        _, _, gb = layer.backward_nhwc(cache, gy)
+        np.testing.assert_allclose(gb, gy.sum(axis=(0, 1, 2)), rtol=1e-12)
 
 
 class TestStatelessOps:
@@ -119,31 +146,40 @@ class TestStatelessOps:
 
     def test_max_pool_ramp(self):
         # hand evaluation of 2x2/2 max over [[1..4],[5..8],[9..12],[13..16]]
-        x = np.arange(1, 17, dtype=np.float32).reshape(1, 1, 4, 4)
-        y = nn.max_pool(x)
-        np.testing.assert_array_equal(y[0, 0], [[6, 8], [14, 16]])
+        x = np.arange(1, 17, dtype=np.float32).reshape(1, 4, 4, 1)
+        y, _ = nn.maxpool2x2_forward_nhwc(x)
+        np.testing.assert_array_equal(y[0, :, :, 0], [[6, 8], [14, 16]])
 
     def test_max_pool_halves_dims(self):
-        x = np.zeros((2, 3, 8, 6), dtype=np.float32)
-        assert nn.max_pool(x).shape == (2, 3, 4, 3)
+        x = np.zeros((2, 8, 6, 3), dtype=np.float32)
+        assert nn.maxpool2x2_forward_nhwc(x)[0].shape == (2, 4, 3, 3)
 
     def test_max_pool_odd_dim_rejected(self):
         with pytest.raises(ShapeError):
-            nn.max_pool(np.zeros((1, 1, 5, 4), dtype=np.float32))
+            nn.maxpool2x2_forward_nhwc(np.zeros((1, 5, 4, 1), dtype=np.float32))
 
     def test_max_pool_backward_routes_to_argmax(self):
-        x = np.arange(1, 17, dtype=np.float32).reshape(1, 1, 4, 4)
-        gy = np.ones((1, 1, 2, 2), dtype=np.float32)
-        gx = nn.max_pool_backward(x, gy)
+        x = np.arange(1, 17, dtype=np.float32).reshape(1, 4, 4, 1)
+        gy = np.ones((1, 2, 2, 1), dtype=np.float32)
+        _, idx = nn.maxpool2x2_forward_nhwc(x)
+        gx = nn.maxpool2x2_backward_nhwc(idx, gy)
         want = np.zeros((4, 4), dtype=np.float32)
         want[1, 1] = want[1, 3] = want[3, 1] = want[3, 3] = 1.0
-        np.testing.assert_array_equal(gx[0, 0], want)
+        np.testing.assert_array_equal(gx[0, :, :, 0], want)
 
     def test_global_avg_pool_shape_and_constant(self):
-        x = np.full((1, 512, 4, 4), 0.25, dtype=np.float32)
-        y = nn.global_avg_pool(x)
+        x = np.full((1, 4, 4, 512), 0.25, dtype=np.float32)
+        y = nn.gap_forward_nhwc(x)
         assert y.shape == (1, 512)
         np.testing.assert_allclose(y, 0.25)
+
+    def test_global_avg_pool_non_4d_rejected(self):
+        with pytest.raises(ShapeError, match="4-d"):
+            nn.gap_forward_nhwc(np.zeros((4, 4, 3), dtype=np.float32))
+
+    def test_global_avg_pool_backward_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            nn.gap_backward_nhwc((2, 4, 4, 3), np.zeros((2, 4), dtype=np.float32))
 
     def test_sigmoid_zero(self):
         assert nn.sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)

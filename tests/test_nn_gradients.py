@@ -5,7 +5,7 @@ from volcnn import nn
 from volcnn.tensor import RngStream
 
 from gradcheck import ALL_CHECKS
-from oracles import fd_grad, max_rel_err
+from oracles import fd_grad, max_rel_err, to_nhwc
 
 TOL = 1e-4
 
@@ -23,10 +23,10 @@ def test_conv_spec_shape_case():
     layer = nn.Conv2d(2, 3, dtype=np.float64)
     layer.weights = rng.gaussian(3 * 2 * 9).reshape(3, 2, 3, 3) * 0.5
     layer.bias = rng.gaussian(3) * 0.1
-    x = rng.gaussian(1 * 2 * 6 * 6).reshape(1, 2, 6, 6)
-    r = rng.gaussian(1 * 3 * 6 * 6).reshape(1, 3, 6, 6)
-    loss = lambda: float(np.sum(layer.forward(x) * r))
-    gx, gw, gb = layer.backward(x, r)
+    x = to_nhwc(rng.gaussian(1 * 2 * 6 * 6).reshape(1, 2, 6, 6))
+    r = to_nhwc(rng.gaussian(1 * 3 * 6 * 6).reshape(1, 3, 6, 6))
+    loss = lambda: float(np.sum(layer.forward_nhwc(x) * r))
+    gx, gw, gb = layer.backward_nhwc(x, r)
     assert max_rel_err(gx, fd_grad(loss, x)) < TOL
     assert max_rel_err(gw, fd_grad(loss, layer.weights)) < TOL
     assert max_rel_err(gb, fd_grad(loss, layer.bias)) < TOL

@@ -190,6 +190,15 @@ class TestPipeline:
             assert comp.pixels.min() >= 0.0 and comp.pixels.max() <= 1.0
 
 
+class TestRgbComposite:
+    @pytest.mark.parametrize("where", [np.s_[:], np.s_[1, 7, 9]], ids=["all", "one"])
+    def test_nan_rejected(self, where):
+        pixels = np.full((3, 512, 512), 0.5, dtype=np.float32)
+        pixels[where] = np.nan
+        with pytest.raises(ShapeError, match="non-finite"):
+            pp.RgbComposite(pixels=pixels, provenance="x").validate()
+
+
 class TestPlaneFiles:
     def test_band_patch_roundtrip(self, tmp_path):
         patch = make_patch(h=6, w=5, red=0.7)
@@ -217,6 +226,32 @@ class TestPlaneFiles:
         path.write_bytes(data[:len(data) // 2])
         with pytest.raises(ModelFormatError, match="offset"):
             pp.load_band_planes(path)
+
+    def test_unknown_sensor_rejected(self, tmp_path):
+        patch = make_patch(h=6, w=5)
+        path = tmp_path / "bands.vbp"
+        pp.save_band_planes(path, patch)
+        data = bytearray(path.read_bytes())
+        data[8] = 99  # sensor id byte
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match="sensor id 99 at offset 8"):
+            pp.load_band_planes(path)
+
+    @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
+    def test_trailing_bytes_rejected(self, tmp_path, fmt):
+        path = tmp_path / "planes.bin"
+        if fmt == "vbp1":
+            pp.save_band_planes(path, make_patch(h=6, w=5))
+            load = pp.load_band_planes
+        else:
+            pp.save_composite(path, pp.RgbComposite(
+                pixels=np.zeros((3, 4, 4), dtype=np.float32), provenance="x"))
+            load = pp.load_composite
+        size = path.stat().st_size
+        with open(path, "ab") as f:
+            f.write(b"\0")
+        with pytest.raises(ModelFormatError, match=f"trailing bytes at offset {size}"):
+            load(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bands.vbp"
