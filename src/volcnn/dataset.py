@@ -111,6 +111,9 @@ def serialize_catalog(records) -> str:
 # ---------------------------------------------------------------------------
 
 
+SPLITS = ("train", "val", "test")
+
+
 @dataclass(frozen=True)
 class Sample:
     path: str
@@ -126,7 +129,7 @@ class DatasetManifest:
         if len(set(paths)) != len(paths):
             raise InvalidParameterError("manifest paths must be unique")
         for s in self.samples:
-            if s.split not in ("train", "val", "test"):
+            if s.split not in SPLITS:
                 raise InvalidParameterError(f"bad split {s.split!r}")
 
     def split(self, name):
@@ -144,14 +147,39 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path):
-        samples = []
+        """Read a JSONL manifest; a bad row raises CatalogError naming its 1-based line."""
+        samples, seen = [], set()
         with open(path) as f:
-            for line in f:
+            for lineno, line in enumerate(f, start=1):
                 if line.strip():
-                    d = json.loads(line)
-                    samples.append(Sample(d["path"], int(d["label"]),
-                                          d["subclass"], d["split"]))
+                    s = _parse_manifest_row(line, lineno)
+                    if s.path in seen:
+                        raise CatalogError(f"line {lineno}: duplicate path {s.path!r}")
+                    seen.add(s.path)
+                    samples.append(s)
         return cls(samples)
+
+
+def _parse_manifest_row(line, lineno):
+    try:
+        d = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise CatalogError(f"line {lineno}: malformed JSON: {e.msg}") from None
+    if not isinstance(d, dict):
+        raise CatalogError(f"line {lineno}: expected a JSON object")
+    missing = [k for k in ("path", "label", "subclass", "split") if k not in d]
+    if missing:
+        raise CatalogError(f"line {lineno}: missing key {missing[0]!r}")
+    label = d["label"]
+    # bool is an int subclass; a manifest written by save() never holds one
+    if type(label) is not int or label not in (LABEL_NO_ERUPTION, LABEL_ERUPTION):
+        raise CatalogError(f"line {lineno}: label must be 0 or 1, got {label!r}")
+    for key in ("path", "subclass"):
+        if not isinstance(d[key], str):
+            raise CatalogError(f"line {lineno}: {key} must be a string, got {d[key]!r}")
+    if d["split"] not in SPLITS:
+        raise CatalogError(f"line {lineno}: bad split {d['split']!r}")
+    return Sample(d["path"], label, d["subclass"], d["split"])
 
 
 def _shuffled(rng: RngStream, items):

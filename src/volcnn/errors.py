@@ -26,7 +26,7 @@ class ProfileError(VolcError):
 
 
 class CatalogError(VolcError):
-    """A catalog row failed to parse; the message carries the line number."""
+    """A catalog or manifest row failed to parse; the message carries the line number."""
 
 
 class MissingClassError(VolcError):

@@ -292,24 +292,46 @@ def relu_backward(y, grad_out):
 
 
 def maxpool2x2_forward_nhwc(x):
-    """2x2/2 max pool on (N, H, W, C); returns (y, window argmax indices)."""
+    """2x2/2 max pool on (N, H, W, C); returns (y, cache).
+
+    y is the elementwise maximum of the four strided quarters x[:, dy::2, dx::2].
+    The cache is (x, y), references only, so x must not be written to before
+    the backward pass rebuilds the routing mask from them.  A window holding
+    NaN pools to NaN.
+    """
     N, H, W, C = x.shape
     if H % 2 or W % 2:
         raise ShapeError(f"max_pool 2x2/2 needs even spatial dims, got {H}x{W}")
-    win = np.ascontiguousarray(
-        x.reshape(N, H // 2, 2, W // 2, 2, C).transpose(0, 1, 3, 5, 2, 4)
-    ).reshape(N, H // 2, W // 2, C, 4)
-    idx = win.argmax(axis=-1)
-    y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return y, idx.astype(np.uint8)
+    y = np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2])
+    np.maximum(y, x[:, 1::2, 0::2], out=y)
+    np.maximum(y, x[:, 1::2, 1::2], out=y)
+    return y, (x, y)
 
 
-def maxpool2x2_backward_nhwc(idx, grad_out):
-    N, Ho, Wo, C = grad_out.shape
-    wg = np.zeros((N, Ho, Wo, C, 4), dtype=grad_out.dtype)
-    np.put_along_axis(wg, idx[..., None].astype(np.intp), grad_out[..., None], axis=-1)
-    gx = wg.reshape(N, Ho, Wo, C, 2, 2).transpose(0, 1, 4, 2, 5, 3)
-    return np.ascontiguousarray(gx).reshape(N, Ho * 2, Wo * 2, C)
+def maxpool2x2_backward_nhwc(cache, grad_out):
+    """Route each window's gradient to its first maximum, in row-major order.
+
+    cache is the second value forward returned.  Ties go to the earliest of
+    (0, 0), (0, 1), (1, 0), (1, 1); the other three cells get +0.0.  A window
+    whose maximum is NaN routes its gradient nowhere.
+    """
+    x, y = cache
+    if grad_out.shape != y.shape:
+        raise ShapeError(f"grad_out {grad_out.shape} does not match pooled {y.shape}")
+    gx = np.empty(x.shape, dtype=grad_out.dtype)
+    # Mask the bit patterns, not the floats: a negative gradient times 0.0
+    # would leave -0.0 in the unrouted cells.
+    bits = np.dtype(f"u{gx.itemsize}")
+    g_bits, gx_bits = grad_out.view(bits), gx.view(bits)
+    free = np.ones(y.shape, dtype=bool)
+    hit = np.empty(y.shape, dtype=bool)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            np.equal(x[:, dy::2, dx::2], y, out=hit)
+            hit &= free
+            free ^= hit
+            np.multiply(g_bits, hit, out=gx_bits[:, dy::2, dx::2])
+    return gx
 
 
 def gap_forward_nhwc(x):

@@ -279,7 +279,11 @@ def compose_patch(patch: BandPatch, alpha=DEFAULT_ALPHA, target=COMPOSITE_SIZE,
 
 def preprocess_raw(raw: BandPatch, profile: SensorProfile | None = None,
                    alpha=DEFAULT_ALPHA, provenance="") -> RgbComposite:
-    """Full pipeline from raw digital numbers: normalize, merge, resize."""
+    """Full pipeline from raw digital numbers: validate, normalize, merge, resize.
+
+    Bands of mismatched shape or with non-finite values raise ShapeError.
+    """
+    raw.validate()
     if profile is None:
         profile = PROFILES[raw.sensor]
     return compose_patch(normalize_sensor(raw, profile), alpha=alpha,

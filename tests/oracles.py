@@ -45,6 +45,30 @@ def conv2d_reference(x, weights, bias):
     return y
 
 
+def maxpool2x2_reference(x, grad_out):
+    """2x2/2 max pool and its gradient, by loops over every window.
+
+    x: (N, C, H, W) with H and W even; grad_out: (N, C, H/2, W/2).  Each
+    window's gradient goes to its first maximum in row-major order, so ties
+    land on the earliest cell.  Returns (y, gx).
+    """
+    N, C, H, W = x.shape
+    y = np.zeros((N, C, H // 2, W // 2), dtype=x.dtype)
+    gx = np.zeros(x.shape, dtype=grad_out.dtype)
+    for n in range(N):
+        for c in range(C):
+            for i in range(H // 2):
+                for j in range(W // 2):
+                    bi, bj = 2 * i, 2 * j
+                    for di in range(2):
+                        for dj in range(2):
+                            if x[n, c, 2 * i + di, 2 * j + dj] > x[n, c, bi, bj]:
+                                bi, bj = 2 * i + di, 2 * j + dj
+                    y[n, c, i, j] = x[n, c, bi, bj]
+                    gx[n, c, bi, bj] = grad_out[n, c, i, j]
+    return y, gx
+
+
 def fd_grad(f, x, h=1e-5):
     """Central finite-difference gradient of scalar f() w.r.t. array x.
 

@@ -86,6 +86,23 @@ class TestManifest:
         manifest.save(path)
         assert ds.DatasetManifest.load(path).samples == manifest.samples
 
+    @pytest.mark.parametrize("row, error", [
+        ('{"path": "a", "label": 1,', "^line 3: malformed JSON"),
+        ('{"path": "a", "label": 1, "split": "train"}', "^line 3: missing key 'subclass'"),
+        ('{"path": "a", "label": "1", "subclass": "x", "split": "train"}',
+         "^line 3: label must be 0 or 1"),
+        ('{"path": "a", "label": 0.5, "subclass": "x", "split": "train"}',
+         "^line 3: label must be 0 or 1"),
+        ('{"path": "b", "label": 1, "subclass": "x", "split": "train"}',
+         "^line 3: duplicate path 'b'"),
+    ], ids=["json", "missing-key", "label-string", "label-float", "duplicate-path"])
+    def test_load_error_names_its_line(self, tmp_path, row, error):
+        good = '{"path": "b", "label": 0, "subclass": "clear", "split": "val"}'
+        path = tmp_path / ds.MANIFEST_FILENAME
+        path.write_text(good + "\n\n" + row + "\n")  # line 2 is blank and still counts
+        with pytest.raises(CatalogError, match=error):
+            ds.DatasetManifest.load(path)
+
 
 class TestSynthGenerate:
     def test_same_seed_gives_byte_identical_files(self, synth, tmp_path):

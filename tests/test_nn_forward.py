@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from volcnn import nn
 from volcnn.errors import DegenerateBatchError, InvalidParameterError, ShapeError
 from volcnn.tensor import RngStream
 
 from oracles import (adam_scalar_reference, conv2d_reference, max_rel_err,
-                     to_nchw, to_nhwc)
+                     maxpool2x2_reference, to_nchw, to_nhwc)
 
 
 class TestConv2d:
@@ -167,6 +168,12 @@ class TestStatelessOps:
         want[1, 1] = want[1, 3] = want[3, 1] = want[3, 3] = 1.0
         np.testing.assert_array_equal(gx[0, :, :, 0], want)
 
+    def test_max_pool_backward_shape_mismatch_rejected(self):
+        x = np.zeros((2, 4, 4, 3), dtype=np.float32)
+        _, cache = nn.maxpool2x2_forward_nhwc(x)
+        with pytest.raises(ShapeError):
+            nn.maxpool2x2_backward_nhwc(cache, np.zeros((1, 2, 2, 3), dtype=np.float32))
+
     def test_global_avg_pool_shape_and_constant(self):
         x = np.full((1, 4, 4, 512), 0.25, dtype=np.float32)
         y = nn.gap_forward_nhwc(x)
@@ -187,6 +194,52 @@ class TestStatelessOps:
     def test_sigmoid_range_extremes(self):
         y = nn.sigmoid(np.array([-100.0, 100.0]))
         assert 0.0 <= y[0] < 1e-6 and 1.0 - 1e-6 < y[1] <= 1.0
+
+
+def _pool_against_reference(x_nchw, gy_nchw):
+    """Pool float32 x both ways; assert y and gx match the loop oracle's bit for bit."""
+    want_y, want_gx = maxpool2x2_reference(x_nchw, gy_nchw)
+    y, cache = nn.maxpool2x2_forward_nhwc(to_nhwc(x_nchw))
+    gx = to_nchw(nn.maxpool2x2_backward_nhwc(cache, to_nhwc(gy_nchw)))
+    # bit patterns, so that a -0.0 where the oracle has +0.0 fails too
+    np.testing.assert_array_equal(to_nchw(y).view(np.uint32), want_y.view(np.uint32))
+    np.testing.assert_array_equal(gx.view(np.uint32), want_gx.view(np.uint32))
+    return gx
+
+
+def _gauss32(seed, *shape):
+    return RngStream(seed).gaussian(int(np.prod(shape))).reshape(shape).astype(np.float32)
+
+
+class TestMaxPoolOracle:
+    def test_random_input_matches_reference(self):
+        _pool_against_reference(_gauss32(21, 2, 3, 8, 10), _gauss32(22, 2, 3, 4, 5))
+
+    def test_all_zero_windows_route_to_first_cell(self):
+        x = nn.relu(_gauss32(23, 2, 4, 8, 8))
+        x[:, :, 2:6, 0:4] = 0.0  # four all-zero windows per plane
+        gy = _gauss32(24, 2, 4, 4, 4)
+        win = _pool_against_reference(x, gy)[:, :, 2:6, 0:4]
+        np.testing.assert_array_equal(win[:, :, 0::2, 0::2], gy[:, :, 1:3, 0:2])
+        assert not win[:, :, 1::2].any() and not win[:, :, :, 1::2].any()
+
+    def test_nan_window_pools_to_nan_and_routes_nowhere(self):
+        x = np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1)
+        x[0, 1, 0, 0] = np.nan
+        y, cache = nn.maxpool2x2_forward_nhwc(x)
+        gx = nn.maxpool2x2_backward_nhwc(cache, np.ones_like(y))
+        assert np.isnan(y[0, 0, 0, 0]) and np.isfinite(y).sum() == 3
+        assert not gx[0, :2, :2].any()
+        assert gx.sum() == 3.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), c=st.integers(1, 4), ho=st.integers(1, 6),
+           wo=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+    def test_property_matches_reference(self, n, c, ho, wo, seed, ties):
+        x = _gauss32(seed, n, c, 2 * ho, 2 * wo)
+        if ties:  # a few levels, so most windows hold repeated values
+            x = nn.relu(np.round(x))
+        _pool_against_reference(x, _gauss32(seed + 1, n, c, ho, wo))
 
 
 class TestDense:

@@ -189,6 +189,16 @@ class TestPipeline:
             assert comp.pixels.shape == (3, 512, 512)
             assert comp.pixels.min() >= 0.0 and comp.pixels.max() <= 1.0
 
+    @pytest.mark.parametrize("bad", ["nan", "shape"])
+    def test_invalid_raw_rejected(self, bad):
+        swir2 = np.full((8, 8), 0.1, dtype=np.float32)
+        if bad == "nan":
+            swir2[3, 5] = np.nan
+        else:
+            swir2 = swir2[:, :6]
+        with pytest.raises(ShapeError, match="band swir2"):
+            pp.preprocess_raw(make_patch(swir2=swir2))
+
 
 class TestRgbComposite:
     @pytest.mark.parametrize("where", [np.s_[:], np.s_[1, 7, 9]], ids=["all", "one"])
