@@ -9,8 +9,10 @@ layouts: conv (out, in, kh, kw), dense (out, in).
 
 Convolution is stride (1, 1) with "same" zero padding and is evaluated as
 one GEMM per image over an im2col matrix with (kh, kw, c) column order.
-The gradient w.r.t. the input is assembled by scatter-adding the GEMM
-output back over the nine kernel offsets (col2im).
+The backward pass reuses that path: the gradient w.r.t. the input is the
+same-padded correlation of grad_out with the kernel flipped in both
+spatial axes and its in/out channels swapped, and the gradient w.r.t. the
+weights is the input's im2col matrix, transposed, times grad_out.
 
 Default hyperparameters follow the conventions of the training-framework
 family this detector was prototyped with: Adam(lr=1e-3, 0.9, 0.999, 1e-8),
@@ -31,6 +33,13 @@ from .errors import (
 from .tensor import DEFAULT_DTYPE, RngStream
 
 BCE_CLAMP = 1e-7
+
+
+def _nhwc(shape):
+    """Return shape, the (N, H, W, C) of a feature map; ShapeError unless 4-d."""
+    if len(shape) != 4:
+        raise ShapeError(f"expected 4-d (N, H, W, C) input, got shape {tuple(shape)}")
+    return shape
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +63,6 @@ class Conv2d:
         self.dtype = np.dtype(dtype)
         self.weights = np.zeros((out_channels, in_channels, kh, kw), dtype=dtype)
         self.bias = np.zeros(out_channels, dtype=dtype)
-        self._scratch = {}
 
     def init_params(self, rng: RngStream):
         """He-normal weights, zero bias."""
@@ -71,75 +79,57 @@ class Conv2d:
             self.weights.transpose(2, 3, 1, 0).reshape(kh * kw * self.in_channels,
                                                        self.out_channels))
 
-    def _buf(self, key, shape):
-        buf = self._scratch.get(key)
-        if buf is None or buf.shape != shape or buf.dtype != self.dtype:
-            buf = np.empty(shape, dtype=self.dtype)
-            self._scratch[key] = buf
-        return buf
-
-    def _im2col(self, xp, cols, H, W):
+    # Callers allocate cols once per call, not per image: a fresh buffer of
+    # tens of MB is mapped as new, zeroed pages every time.
+    def _im2col(self, img, cols):
+        """Fill cols with the same-padded (H*W, kh*kw*C) patch matrix of one
+        (H, W, C) image, and return it."""
         kh, kw = self.kernel
+        H, W, C = img.shape
+        xp = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
         win = sliding_window_view(xp, (kh, kw), axis=(0, 1))  # (H, W, C, kh, kw)
-        np.copyto(cols.reshape(H, W, kh, kw, self.in_channels),
-                  win.transpose(0, 1, 3, 4, 2))
+        np.copyto(cols.reshape(H, W, kh, kw, C), win.transpose(0, 1, 3, 4, 2))
+        return cols
+
+    def _correlate(self, x, wg):
+        """Same-padded correlation of (N, H, W, C) x with GEMM weights wg."""
+        N, H, W, C = x.shape
+        kh, kw = self.kernel
+        y = np.empty((N, H, W, wg.shape[1]), dtype=self.dtype)
+        cols = np.empty((H * W, kh * kw * C), dtype=self.dtype)
+        for n in range(N):
+            np.matmul(self._im2col(x[n], cols), wg, out=y[n].reshape(H * W, wg.shape[1]))
+        return y
 
     def forward_nhwc(self, x):
         """Same-padded cross-correlation plus bias on (N, H, W, C) input."""
-        if x.ndim != 4:
-            raise ShapeError(f"expected 4-d input, got shape {x.shape}")
-        N, H, W, C = x.shape
+        _, _, _, C = _nhwc(x.shape)
         if C != self.in_channels:
             raise ShapeError(f"expected {self.in_channels} input channels, got {C}")
-        kh, kw = self.kernel
-        ph, pw = kh // 2, kw // 2
-        wg = self._gemm_weights()
-        y = np.empty((N, H, W, self.out_channels), dtype=self.dtype)
-        xp = self._buf("xp", (H + 2 * ph, W + 2 * pw, C))
-        xp.fill(0)
-        cols = self._buf("cols", (H * W, kh * kw * C))
-        for n in range(N):
-            xp[ph:ph + H, pw:pw + W] = x[n]
-            self._im2col(xp, cols, H, W)
-            np.matmul(cols, wg, out=y[n].reshape(H * W, self.out_channels))
+        y = self._correlate(x, self._gemm_weights())
         y += self.bias
         return y
 
     def backward_nhwc(self, x, grad_out, need_grad_input=True):
         """Gradients of forward_nhwc: (grad_input or None, grad_weights, grad_bias)."""
-        N, H, W, C = x.shape
-        if C != self.in_channels or grad_out.shape != (N, H, W, self.out_channels):
-            raise ShapeError(f"grad_out {grad_out.shape} does not match input "
-                             f"{x.shape} through a {C}->{self.out_channels} conv")
-        kh, kw = self.kernel
-        ph, pw = kh // 2, kw // 2
+        N, H, W, C = _nhwc(x.shape)
         K = self.out_channels
-        wg = self._gemm_weights()
-        grad_w = np.zeros_like(wg)
+        if C != self.in_channels or grad_out.shape != (N, H, W, K):
+            raise ShapeError(f"grad_out {grad_out.shape} does not match input "
+                             f"{x.shape} through a {C}->{K} conv")
+        kh, kw = self.kernel
+        grad_w = np.zeros((kh * kw * C, K), dtype=self.dtype)
         grad_b = grad_out.sum(axis=(0, 1, 2), dtype=np.float64).astype(self.dtype)
-        grad_x = np.empty_like(x) if need_grad_input else None
-        xp = self._buf("xp", (H + 2 * ph, W + 2 * pw, C))
-        xp.fill(0)
-        cols = self._buf("cols", (H * W, kh * kw * C))
-        if need_grad_input:
-            dcols = self._buf("dcols", (H * W, kh * kw * C))
-            gxp = self._buf("gxp", (H + 2 * ph, W + 2 * pw, C))
+        cols = np.empty((H * W, kh * kw * C), dtype=self.dtype)
         for n in range(N):
-            g = grad_out[n].reshape(H * W, K)
-            xp[ph:ph + H, pw:pw + W] = x[n]
-            self._im2col(xp, cols, H, W)
-            grad_w += cols.T @ g
-            if need_grad_input:
-                np.matmul(g, wg.T, out=dcols)
-                d5 = dcols.reshape(H, W, kh, kw, C)
-                gxp.fill(0)
-                for dy in range(kh):
-                    for dx in range(kw):
-                        gxp[dy:dy + H, dx:dx + W] += d5[:, :, dy, dx]
-                grad_x[n] = gxp[ph:ph + H, pw:pw + W]
+            grad_w += self._im2col(x[n], cols).T @ grad_out[n].reshape(H * W, K)
         # back to canonical (out, in, kh, kw)
         grad_w = np.ascontiguousarray(
             grad_w.reshape(kh, kw, C, K).transpose(3, 2, 0, 1))
+        grad_x = None
+        if need_grad_input:
+            flipped = self.weights[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+            grad_x = self._correlate(grad_out, flipped.reshape(kh * kw * K, C))
         return grad_x, grad_w, grad_b
 
 
@@ -164,7 +154,7 @@ class BatchNorm2d:
         self.running_var = np.ones(channels, dtype=dtype)
 
     def _check_channels(self, x):
-        if x.shape[-1] != self.channels:
+        if _nhwc(x.shape)[-1] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape[-1]}")
 
     def forward_train_nhwc(self, x):
@@ -173,15 +163,14 @@ class BatchNorm2d:
         if x.shape[0] < 2:
             raise DegenerateBatchError("train-mode batchnorm needs batch size >= 2")
         cnt = x.shape[0] * x.shape[1] * x.shape[2]
-        mean = x.mean(axis=(0, 1, 2))
-        sq = np.einsum("nhwc,nhwc->c", x, x) / cnt
-        var = np.maximum(sq - mean * mean, 0.0)
+        # Centre before squaring: E[x^2] - E[x]^2 cancels in float32 once the
+        # channel mean is large against its spread.
+        mean = (np.einsum("nhwc->c", x, dtype=np.float64) / cnt).astype(self.dtype)
+        y = np.subtract(x, mean, dtype=self.dtype)
+        var = np.einsum("nhwc,nhwc->c", y, y) / cnt
         inv = (1.0 / np.sqrt(var + self.epsilon)).astype(self.dtype)
-        mean = mean.astype(self.dtype)
-        a = self.gamma * inv
-        b = self.beta - mean * a
-        y = np.multiply(x, a, dtype=self.dtype)
-        y += b
+        y *= self.gamma * inv
+        y += self.beta
         m = self.dtype.type(self.momentum)
         self.running_mean = m * self.running_mean + (1 - m) * mean
         self.running_var = m * self.running_var + (1 - m) * var.astype(self.dtype)
@@ -236,13 +225,17 @@ class Dense:
                         .reshape(self.weights.shape) * std).astype(self.dtype)
         self.bias = np.zeros(self.out_features, dtype=self.dtype)
 
-    def forward(self, x):
+    def _check_input(self, x):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(
                 f"expected (N, {self.in_features}) input, got {x.shape}")
+
+    def forward(self, x):
+        self._check_input(x)
         return x @ self.weights.T + self.bias
 
     def backward(self, x, grad_out):
+        self._check_input(x)
         if grad_out.shape != (x.shape[0], self.out_features):
             raise ShapeError("grad_out shape does not match layer output")
         grad_w = grad_out.T @ x
@@ -299,7 +292,7 @@ def maxpool2x2_forward_nhwc(x):
     the backward pass rebuilds the routing mask from them.  A window holding
     NaN pools to NaN.
     """
-    N, H, W, C = x.shape
+    N, H, W, C = _nhwc(x.shape)
     if H % 2 or W % 2:
         raise ShapeError(f"max_pool 2x2/2 needs even spatial dims, got {H}x{W}")
     y = np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2])
@@ -336,13 +329,12 @@ def maxpool2x2_backward_nhwc(cache, grad_out):
 
 def gap_forward_nhwc(x):
     """Mean over each channel plane: (N, H, W, C) -> (N, C)."""
-    if x.ndim != 4:
-        raise ShapeError(f"expected 4-d input, got shape {x.shape}")
+    _nhwc(x.shape)
     return x.mean(axis=(1, 2))
 
 
 def gap_backward_nhwc(input_shape, grad_out):
-    N, H, W, C = input_shape
+    N, H, W, C = _nhwc(input_shape)
     if grad_out.shape != (N, C):
         raise ShapeError("grad_out shape does not match pooled output")
     g = (grad_out / (H * W)).astype(grad_out.dtype)

@@ -45,6 +45,55 @@ def conv2d_reference(x, weights, bias):
     return y
 
 
+def conv2d_backward_reference(x, weights, grad_out):
+    """Gradients of conv2d_reference w.r.t. x, weights and bias, float64 loops.
+
+    x: (N, C, H, W); weights: (K, C, kh, kw); grad_out: (N, K, H, W).
+    Each output cell sends grad_out times every weight back to the input
+    cell it read, and grad_out times every input cell to the weight that
+    read it.  Returns (gx, gw, gb).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    g = np.asarray(grad_out, dtype=np.float64)
+    N, C, H, W = x.shape
+    K, _, kh, kw = w.shape
+    ph, pw = kh // 2, kw // 2
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    gb = np.zeros(K, dtype=np.float64)
+    for n in range(N):
+        for k in range(K):
+            for i in range(H):
+                for j in range(W):
+                    gy = g[n, k, i, j]
+                    gb[k] += gy
+                    for c in range(C):
+                        for di in range(kh):
+                            for dj in range(kw):
+                                ii = i + di - ph
+                                jj = j + dj - pw
+                                if 0 <= ii < H and 0 <= jj < W:
+                                    gx[n, c, ii, jj] += gy * w[k, c, di, dj]
+                                    gw[k, c, di, dj] += gy * x[n, c, ii, jj]
+    return gx, gw, gb
+
+
+def batchnorm_train_reference(x, gamma, beta, epsilon):
+    """Train-mode batch norm, one channel at a time, float64 two-pass statistics.
+
+    x: (N, C, H, W); gamma, beta: (C,).  Returns y in float64.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.empty_like(x)
+    for c in range(x.shape[1]):
+        plane = x[:, c]
+        mean = plane.sum() / plane.size
+        var = ((plane - mean) ** 2).sum() / plane.size
+        y[:, c] = (plane - mean) / np.sqrt(var + epsilon) * gamma[c] + beta[c]
+    return y
+
+
 def maxpool2x2_reference(x, grad_out):
     """2x2/2 max pool and its gradient, by loops over every window.
 

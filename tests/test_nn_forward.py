@@ -6,7 +6,8 @@ from volcnn import nn
 from volcnn.errors import DegenerateBatchError, InvalidParameterError, ShapeError
 from volcnn.tensor import RngStream
 
-from oracles import (adam_scalar_reference, conv2d_reference, max_rel_err,
+from oracles import (adam_scalar_reference, batchnorm_train_reference,
+                     conv2d_backward_reference, conv2d_reference, max_rel_err,
                      maxpool2x2_reference, to_nchw, to_nhwc)
 
 
@@ -51,6 +52,12 @@ class TestConv2d:
         x = np.zeros((1, 6, 6, 2), dtype=np.float32)
         with pytest.raises(ShapeError):
             layer.backward_nhwc(x, np.zeros(gy_shape, dtype=np.float32))
+
+    def test_backward_non_4d_input_rejected(self):
+        layer = nn.Conv2d(2, 3)
+        with pytest.raises(ShapeError, match="4-d"):
+            layer.backward_nhwc(np.zeros((6, 6, 2), dtype=np.float32),
+                                np.zeros((6, 6, 3), dtype=np.float32))
 
     def test_backward_input_channel_mismatch_rejected(self):
         layer = nn.Conv2d(2, 3)
@@ -112,6 +119,25 @@ class TestBatchNorm2d:
         xhat, _ = ref.forward_train_nhwc(x)
         np.testing.assert_allclose(y, 2.0 * xhat + 3.0, rtol=1e-5, atol=1e-5)
 
+    def test_train_large_offset_matches_float64_reference(self):
+        # mean 100, std 0.05: E[x^2] - E[x]^2 cancels in float32 here
+        layer = nn.BatchNorm2d(3)
+        layer.gamma = np.array([1.0, 2.0, 0.5], dtype=np.float32)
+        layer.beta = np.array([0.0, 3.0, -1.0], dtype=np.float32)
+        x = 100.0 + 0.05 * _gauss32(31, 4, 3, 16, 16)
+        y, _ = layer.forward_train_nhwc(to_nhwc(x))
+        want = batchnorm_train_reference(x, layer.gamma, layer.beta, layer.epsilon)
+        np.testing.assert_allclose(to_nchw(y), want, rtol=0, atol=1e-3)
+
+    def test_train_non_4d_input_rejected(self):
+        with pytest.raises(ShapeError, match="4-d"):
+            nn.BatchNorm2d(2).forward_train_nhwc(np.zeros((4, 4, 2), dtype=np.float32))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4, 2)])
+    def test_infer_non_4d_input_rejected(self, shape):
+        with pytest.raises(ShapeError, match="4-d"):
+            nn.BatchNorm2d(2).forward_infer_nhwc(np.zeros(shape, dtype=np.float32))
+
     def test_batch_of_one_rejected(self):
         layer = nn.BatchNorm2d(2)
         with pytest.raises(DegenerateBatchError):
@@ -159,6 +185,10 @@ class TestStatelessOps:
         with pytest.raises(ShapeError):
             nn.maxpool2x2_forward_nhwc(np.zeros((1, 5, 4, 1), dtype=np.float32))
 
+    def test_max_pool_non_4d_rejected(self):
+        with pytest.raises(ShapeError, match="4-d"):
+            nn.maxpool2x2_forward_nhwc(np.zeros((4, 4, 3), dtype=np.float32))
+
     def test_max_pool_backward_routes_to_argmax(self):
         x = np.arange(1, 17, dtype=np.float32).reshape(1, 4, 4, 1)
         gy = np.ones((1, 2, 2, 1), dtype=np.float32)
@@ -187,6 +217,10 @@ class TestStatelessOps:
     def test_global_avg_pool_backward_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             nn.gap_backward_nhwc((2, 4, 4, 3), np.zeros((2, 4), dtype=np.float32))
+
+    def test_global_avg_pool_backward_non_4d_shape_rejected(self):
+        with pytest.raises(ShapeError, match="4-d"):
+            nn.gap_backward_nhwc((4, 4, 3), np.zeros((4, 3), dtype=np.float32))
 
     def test_sigmoid_zero(self):
         assert nn.sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)
@@ -242,6 +276,38 @@ class TestMaxPoolOracle:
         _pool_against_reference(x, _gauss32(seed + 1, n, c, ho, wo))
 
 
+def _conv_backward_against_reference(n, c, k, kernel, h, w, seed):
+    """Float32 backward_nhwc against the float64 loop oracle.
+
+    Each gradient may be off by 1e-5 of its largest magnitude: float32
+    sums of at most a few hundred products stay far inside that, and a
+    kernel flipped on the wrong axis or channels swapped miss it by orders.
+    """
+    layer = nn.Conv2d(c, k, kernel=kernel)
+    layer.init_params(RngStream(seed))
+    x = _gauss32(seed + 1, n, c, h, w)
+    gy = _gauss32(seed + 2, n, k, h, w)
+    gx, gw, gb = layer.backward_nhwc(to_nhwc(x), to_nhwc(gy))
+    want = conv2d_backward_reference(x, layer.weights, gy)
+    for got, ref in zip((to_nchw(gx), gw, gb), want):
+        assert got.dtype == np.float32 and got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+
+
+class TestConvBackwardOracle:
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (3, 5), (5, 3)])
+    @pytest.mark.parametrize("c,k", [(2, 3), (3, 2)])
+    def test_matches_reference(self, kernel, c, k):
+        _conv_backward_against_reference(2, c, k, kernel, 6, 7, seed=40)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 2), c=st.integers(1, 3), k=st.integers(1, 3),
+           kh=st.sampled_from([1, 3, 5]), kw=st.sampled_from([1, 3, 5]),
+           h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 2**32 - 3))
+    def test_property_matches_reference(self, n, c, k, kh, kw, h, w, seed):
+        _conv_backward_against_reference(n, c, k, (kh, kw), h, w, seed)
+
+
 class TestDense:
     def test_identity(self):
         layer = nn.Dense(3, 3)
@@ -252,6 +318,11 @@ class TestDense:
     def test_feature_mismatch(self):
         with pytest.raises(ShapeError):
             nn.Dense(3, 2).forward(np.zeros((1, 4), dtype=np.float32))
+
+    def test_backward_feature_mismatch(self):
+        with pytest.raises(ShapeError):
+            nn.Dense(3, 2).backward(np.zeros((1, 4), dtype=np.float32),
+                                    np.zeros((1, 2), dtype=np.float32))
 
 
 class TestDropout:
