@@ -8,11 +8,11 @@ once, at the model input, and never again.  Weights keep their canonical
 layouts: conv (out, in, kh, kw), dense (out, in).
 
 Convolution is stride (1, 1) with "same" zero padding and is evaluated as
-one GEMM per image over an im2col matrix with (kh, kw, c) column order.
-The backward pass reuses that path: the gradient w.r.t. the input is the
-same-padded correlation of grad_out with the kernel flipped in both
-spatial axes and its in/out channels swapped, and the gradient w.r.t. the
-weights is the input's im2col matrix, transposed, times grad_out.
+one GEMM per band of output rows over an im2col matrix with (kh, kw, c)
+column order.  The backward pass reuses that path: the gradient w.r.t. the
+input is the same-padded correlation of grad_out with the kernel flipped in
+both spatial axes and its in/out channels swapped, and the gradient w.r.t.
+the weights is the input's im2col matrix, transposed, times grad_out.
 
 Default hyperparameters follow the conventions of the training-framework
 family this detector was prototyped with: Adam(lr=1e-3, 0.9, 0.999, 1e-8),
@@ -33,6 +33,10 @@ from .errors import (
 from .tensor import DEFAULT_DTYPE, RngStream
 
 BCE_CLAMP = 1e-7
+# Byte budget of one im2col band in Conv2d._correlate.  A whole-image patch
+# matrix per call (28 MB at 512x512x3) left a pruned-net request's peak RSS
+# varying by up to 23 MB from run to run; few-MB bands keep it within 3 MB.
+_BAND_BYTES = 1 << 22
 
 
 def _nhwc(shape):
@@ -79,26 +83,29 @@ class Conv2d:
             self.weights.transpose(2, 3, 1, 0).reshape(kh * kw * self.in_channels,
                                                        self.out_channels))
 
-    # Callers allocate cols once per call, not per image: a fresh buffer of
-    # tens of MB is mapped as new, zeroed pages every time.
-    def _im2col(self, img, cols):
-        """Fill cols with the same-padded (H*W, kh*kw*C) patch matrix of one
-        (H, W, C) image, and return it."""
+    def _im2col(self, img, r0, r1):
+        """Same-padded ((r1-r0)*W, kh*kw*C) patch matrix of rows r0:r1 of one
+        (H, W, C) image, columns in (kh, kw, c) order."""
         kh, kw = self.kernel
+        ph, pw = kh // 2, kw // 2
         H, W, C = img.shape
-        xp = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
-        win = sliding_window_view(xp, (kh, kw), axis=(0, 1))  # (H, W, C, kh, kw)
-        np.copyto(cols.reshape(H, W, kh, kw, C), win.transpose(0, 1, 3, 4, 2))
-        return cols
+        lo, hi = max(r0 - ph, 0), min(r1 + ph, H)
+        band = np.pad(img[lo:hi], ((lo - r0 + ph, r1 + ph - hi), (pw, pw), (0, 0)))
+        win = sliding_window_view(band, (kh, kw), axis=(0, 1))  # (r1-r0, W, C, kh, kw)
+        return win.transpose(0, 1, 3, 4, 2).reshape((r1 - r0) * W, kh * kw * C)
 
     def _correlate(self, x, wg):
-        """Same-padded correlation of (N, H, W, C) x with GEMM weights wg."""
+        """Same-padded correlation of (N, H, W, C) x with GEMM weights wg, one
+        GEMM per band of output rows whose patch matrix fits _BAND_BYTES."""
         N, H, W, C = x.shape
         kh, kw = self.kernel
-        y = np.empty((N, H, W, wg.shape[1]), dtype=self.dtype)
-        cols = np.empty((H * W, kh * kw * C), dtype=self.dtype)
+        K = wg.shape[1]
+        rows = max(1, _BAND_BYTES // (W * kh * kw * C * self.dtype.itemsize))
+        y = np.empty((N, H, W, K), dtype=self.dtype)
         for n in range(N):
-            np.matmul(self._im2col(x[n], cols), wg, out=y[n].reshape(H * W, wg.shape[1]))
+            for r0 in range(0, H, rows):
+                r1 = min(r0 + rows, H)
+                np.matmul(self._im2col(x[n], r0, r1), wg, out=y[n, r0:r1].reshape(-1, K))
         return y
 
     def forward_nhwc(self, x):
@@ -120,9 +127,9 @@ class Conv2d:
         kh, kw = self.kernel
         grad_w = np.zeros((kh * kw * C, K), dtype=self.dtype)
         grad_b = grad_out.sum(axis=(0, 1, 2), dtype=np.float64).astype(self.dtype)
-        cols = np.empty((H * W, kh * kw * C), dtype=self.dtype)
+        # whole images, not bands: grad_w's summation order ignores _BAND_BYTES
         for n in range(N):
-            grad_w += self._im2col(x[n], cols).T @ grad_out[n].reshape(H * W, K)
+            grad_w += self._im2col(x[n], 0, H).T @ grad_out[n].reshape(H * W, K)
         # back to canonical (out, in, kh, kw)
         grad_w = np.ascontiguousarray(
             grad_w.reshape(kh, kw, C, K).transpose(3, 2, 0, 1))

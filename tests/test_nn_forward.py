@@ -308,6 +308,29 @@ class TestConvBackwardOracle:
         _conv_backward_against_reference(n, c, k, (kh, kw), h, w, seed)
 
 
+class TestConvRowBands:
+    """Patch matrices are built one band of output rows at a time; a band
+    edge must not change the result.  Shrinking the band byte budget forces
+    bands of `rows` rows over 7 rows, so 4 leaves a short last band."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_banded_forward_and_backward_match_reference(self, monkeypatch, rows):
+        c, k, kernel, h, w = 2, 3, (5, 3), 7, 6
+        layer = nn.Conv2d(c, k, kernel=kernel)
+        layer.init_params(RngStream(42))
+        layer.bias = _gauss32(43, k)
+        x = _gauss32(44, 2, c, h, w)
+        gy = to_nhwc(_gauss32(45, 2, k, h, w))
+        _, gw_whole, _ = layer.backward_nhwc(to_nhwc(x), gy)
+        monkeypatch.setattr(nn, "_BAND_BYTES", rows * w * kernel[0] * kernel[1] * c * 4)
+        got = to_nchw(layer.forward_nhwc(to_nhwc(x)))
+        want = conv2d_reference(x, layer.weights, layer.bias)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
+        _, gw, _ = layer.backward_nhwc(to_nhwc(x), gy)
+        np.testing.assert_array_equal(gw.view(np.uint32), gw_whole.view(np.uint32))
+        _conv_backward_against_reference(2, c, k, kernel, h, w, seed=46)
+
+
 class TestDense:
     def test_identity(self):
         layer = nn.Dense(3, 3)
