@@ -205,9 +205,8 @@ def build_manifest(root, split_fracs=(0.7, 0.1, 0.2), seed=0) -> DatasetManifest
         d = os.path.join(root, name)
         if not os.path.isdir(d) or not os.path.exists(os.path.join(d, PATCH_FILENAME)):
             continue
-        with open(os.path.join(d, META_FILENAME)) as f:
-            meta = json.load(f)
-        entries.append((d, int(meta["label"]), meta.get("subclass", "unknown")))
+        *_, label, subclass = _read_meta(d)
+        entries.append((d, label, subclass))
     by_label = {}
     for i, (path, label, sub) in enumerate(entries):
         by_label.setdefault(label, []).append(i)
@@ -237,12 +236,10 @@ def build_manifest(root, split_fracs=(0.7, 0.1, 0.2), seed=0) -> DatasetManifest
 @dataclass
 class BatchPlan:
     """Precomputed epoch of batches; indices refer to the train-split list."""
-    epoch: int
     batches: list
 
 
-def balanced_batches(train_samples, batch_size, epoch_len, rng: RngStream,
-                     epoch=0) -> BatchPlan:
+def balanced_batches(train_samples, batch_size, epoch_len, rng: RngStream) -> BatchPlan:
     """Class-balanced draws with replacement: coin-flip the class, then a
     uniform pick within it, so minority samples repeat (oversampling)."""
     if batch_size < 2:
@@ -262,7 +259,7 @@ def balanced_batches(train_samples, batch_size, epoch_len, rng: RngStream,
     batches = [draws[i:i + batch_size] for i in range(0, epoch_len, batch_size)]
     if len(batches) > 1 and len(batches[-1]) == 1:
         batches[-2].extend(batches.pop())  # avoid a degenerate batch of one
-    return BatchPlan(epoch=epoch, batches=batches)
+    return BatchPlan(batches=batches)
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +457,47 @@ def synth_generate(n_per_class, seed, out_dir,
     return build_manifest(out_dir, seed=seed)
 
 
+def _read_meta(sample_dir):
+    """Parse a sample's meta.json into (lat, lon, date, label, subclass).
+
+    A malformed file raises CatalogError naming the file and the key:
+    bad JSON, a missing key, a non-numeric lat/lon, a label other than
+    the integers 0 and 1, a date that is not ISO, or a non-string subclass.
+    """
+    path = os.path.join(sample_dir, META_FILENAME)
+    with open(path) as f:
+        try:
+            meta = json.load(f)
+        except ValueError as e:
+            raise CatalogError(f"{path}: malformed JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise CatalogError(f"{path}: expected a JSON object")
+    for key in ("lat", "lon", "date", "label"):
+        if key not in meta:
+            raise CatalogError(f"{path}: missing key {key!r}")
+    for key in ("lat", "lon"):
+        # bool is an int subclass, and json reads NaN and Infinity
+        if type(meta[key]) not in (int, float) or not math.isfinite(meta[key]):
+            raise CatalogError(f"{path}: {key} must be a finite number, got {meta[key]!r}")
+    label = meta["label"]
+    if type(label) is not int or label not in (LABEL_NO_ERUPTION, LABEL_ERUPTION):
+        raise CatalogError(f"{path}: label must be 0 or 1, got {label!r}")
+    try:
+        date = datetime.date.fromisoformat(meta["date"])
+    except (TypeError, ValueError):
+        raise CatalogError(f"{path}: date must be an ISO date, got {meta['date']!r}") from None
+    subclass = meta.get("subclass", "unknown")
+    if not isinstance(subclass, str):
+        raise CatalogError(f"{path}: subclass must be a string, got {subclass!r}")
+    return float(meta["lat"]), float(meta["lon"]), date, label, subclass
+
+
 def load_sample(sample: Sample):
     """Read a sample directory back into (BandPatch, label, subclass)."""
     planes, sensor = pp.load_band_planes(os.path.join(sample.path, PATCH_FILENAME))
-    with open(os.path.join(sample.path, META_FILENAME)) as f:
-        meta = json.load(f)
+    lat, lon, date, label, subclass = _read_meta(sample.path)
     patch = pp.BandPatch(
         blue=planes[0], green=planes[1], red=planes[2],
         swir1=planes[3], swir2=planes[4], sensor=sensor,
-        center_lat=float(meta["lat"]), center_lon=float(meta["lon"]),
-        acquired=datetime.date.fromisoformat(meta["date"]))
-    return patch, int(meta["label"]), meta.get("subclass", "unknown")
+        center_lat=lat, center_lon=lon, acquired=date)
+    return patch, label, subclass

@@ -197,16 +197,20 @@ class BatchNorm2d:
     def backward_nhwc(self, cache, grad_out):
         x, mean, inv = cache
         cnt = x.shape[0] * x.shape[1] * x.shape[2]
-        grad_beta = grad_out.sum(axis=(0, 1, 2), dtype=np.float64)
-        s_gx = np.einsum("nhwc,nhwc->c", grad_out, x)
-        grad_gamma = ((s_gx - mean * grad_beta) * inv).astype(self.dtype)
+        grad_beta = np.einsum("nhwc->c", grad_out, dtype=np.float64)
+        # Centre first: sum(gy * x) - mean * sum(gy) cancels in float32 once
+        # the channel mean is large against its spread.
+        d = np.subtract(x, mean, dtype=self.dtype)
+        grad_gamma = (np.einsum("nhwc,nhwc->c", grad_out, d) * inv).astype(self.dtype)
         grad_beta = grad_beta.astype(self.dtype)
-        # grad_x = A*gy + B*x + C per channel, from the batch-statistics chain rule
+        # grad_x = A*gy + B*(x - mean) + C per channel, from the batch-statistics
+        # chain rule
         A = self.gamma * inv
         B = (-A * inv * grad_gamma / cnt).astype(self.dtype)
-        C = (-A * grad_beta / cnt - B * mean).astype(self.dtype)
+        C = (-A * grad_beta / cnt).astype(self.dtype)
+        d *= B
         gx = np.multiply(grad_out, A, dtype=self.dtype)
-        gx += np.multiply(x, B, dtype=self.dtype)
+        gx += d
         gx += C
         return gx, grad_gamma, grad_beta
 

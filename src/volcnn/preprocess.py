@@ -5,11 +5,12 @@ in [0, 1]), SWIR-into-RGB band fusion so hot surfaces stay visible after
 the lava darkens, bicubic resize to 512x512, and training-time
 augmentation (dihedral-4 symmetries plus white Gaussian noise).
 
-Band fusion, with a scale factor alpha (default 2.5) per visible channel:
+Band fusion, with the fixed scale factor ALPHA = 2.5 on every visible
+channel:
 
-    RED   = alpha * red   + max(0, swir2 - 0.1)
-    GREEN = alpha * green + max(0, swir1 - 0.1)
-    BLUE  = alpha * blue
+    RED   = ALPHA * red   + max(0, swir2 - 0.1)
+    GREEN = ALPHA * green + max(0, swir1 - 0.1)
+    BLUE  = ALPHA * blue
 
 All three channels are clipped to [0, 1] afterwards; the formula can
 exceed 1 and the composites feed a display-range-bounded network input.
@@ -33,7 +34,7 @@ from .errors import (
 from .tensor import RngStream
 
 COMPOSITE_SIZE = (512, 512)
-DEFAULT_ALPHA = 2.5
+ALPHA = 2.5
 SWIR_FLOOR = 0.1
 CUBIC_A = -0.75
 
@@ -51,7 +52,7 @@ class Sensor(IntEnum):
 
 @dataclass(frozen=True)
 class SensorProfile:
-    """Per-band affine normalization to reflectance, plus native resolution.
+    """Per-band affine normalization to reflectance.
 
     scale/offset are 5-tuples in BAND_ORDER. Sentinel-2 L1C stores TOA
     reflectance scaled by 10000; the Landsat-7 level-2 scaling is treated
@@ -60,7 +61,6 @@ class SensorProfile:
     sensor: Sensor
     scale: tuple
     offset: tuple
-    resolution_m: float
 
     def __post_init__(self):
         if len(self.scale) != 5 or len(self.offset) != 5:
@@ -69,14 +69,14 @@ class SensorProfile:
             raise InvalidParameterError("profile scales must be > 0")
 
 
-def _uniform_profile(sensor, scale, offset, res):
-    return SensorProfile(sensor, (scale,) * 5, (offset,) * 5, res)
+def _uniform_profile(sensor, scale, offset):
+    return SensorProfile(sensor, (scale,) * 5, (offset,) * 5)
 
 
 PROFILES = {
-    Sensor.SENTINEL2: _uniform_profile(Sensor.SENTINEL2, 1.0 / 10000.0, 0.0, 10.0),
-    Sensor.LANDSAT7: _uniform_profile(Sensor.LANDSAT7, 1.0 / 10000.0, 0.0, 30.0),
-    Sensor.SYNTHETIC: _uniform_profile(Sensor.SYNTHETIC, 1.0, 0.0, 10.0),
+    Sensor.SENTINEL2: _uniform_profile(Sensor.SENTINEL2, 1.0 / 10000.0, 0.0),
+    Sensor.LANDSAT7: _uniform_profile(Sensor.LANDSAT7, 1.0 / 10000.0, 0.0),
+    Sensor.SYNTHETIC: _uniform_profile(Sensor.SYNTHETIC, 1.0, 0.0),
 }
 
 
@@ -135,19 +135,14 @@ def normalize_sensor(raw: BandPatch, profile: SensorProfile) -> BandPatch:
                      center_lon=raw.center_lon, acquired=raw.acquired, **out)
 
 
-def merge_bands(patch: BandPatch, alpha=DEFAULT_ALPHA) -> np.ndarray:
+def merge_bands(patch: BandPatch) -> np.ndarray:
     """SWIR-highlighted 3-channel composite at the patch's native (H, W).
 
-    alpha may be a scalar or a per-channel (red, green, blue) triple.
     Returns (3, H, W) float32 clipped to [0, 1], channels (RED, GREEN, BLUE).
     """
-    if np.isscalar(alpha):
-        ar = ag = ab = float(alpha)
-    else:
-        ar, ag, ab = (float(a) for a in alpha)
-    red = ar * patch.red + np.maximum(0.0, patch.swir2 - SWIR_FLOOR)
-    green = ag * patch.green + np.maximum(0.0, patch.swir1 - SWIR_FLOOR)
-    blue = ab * patch.blue
+    red = ALPHA * patch.red + np.maximum(0.0, patch.swir2 - SWIR_FLOOR)
+    green = ALPHA * patch.green + np.maximum(0.0, patch.swir1 - SWIR_FLOOR)
+    blue = ALPHA * patch.blue
     out = np.stack([red, green, blue]).astype(np.float32)
     return np.clip(out, 0.0, 1.0, out=out)
 
@@ -210,37 +205,7 @@ def add_gaussian_noise(image: np.ndarray, sigma: float, rng: RngStream) -> np.nd
 
 # Dihedral-4 elements as (quarter-turns k, horizontal-mirror m):
 #   apply(k, m, x) = rot90^k(hflip^m(x)) on the trailing two axes.
-_HFLIP = (0, 1)
-_VFLIP = (2, 1)
-_ROT90 = (1, 0)
-_GENERATORS = {"hflip": _HFLIP, "vflip": _VFLIP, "rot90": _ROT90}
-
-
-def _compose_sym(a, b):
-    # apply b, then a; hflip conjugates rotation direction
-    ka, ma = a
-    kb, mb = b
-    k = (ka + (kb if ma == 0 else -kb)) % 4
-    return (k, (ma + mb) % 2)
-
-
-def _symmetry_group(ops):
-    elems = {(0, 0)}
-    gens = []
-    for name in ops:
-        if name not in _GENERATORS:
-            raise InvalidParameterError(f"unknown augmentation op {name!r}")
-        gens.append(_GENERATORS[name])
-    changed = True
-    while changed:
-        changed = False
-        for a in list(elems):
-            for g in gens:
-                c = _compose_sym(g, a)
-                if c not in elems:
-                    elems.add(c)
-                    changed = True
-    return sorted(elems)
+_D4 = tuple((k, m) for k in range(4) for m in range(2))
 
 
 def apply_symmetry(image: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -252,42 +217,33 @@ def apply_symmetry(image: np.ndarray, k: int, m: int) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def augment(image: np.ndarray, rng: RngStream,
-            ops=("hflip", "vflip", "rot90")) -> np.ndarray:
-    """One uniformly chosen symmetry from the group generated by ops.
+def augment(image: np.ndarray, rng: RngStream) -> np.ndarray:
+    """One uniformly chosen symmetry of the square, identity included.
 
-    With all three generators this is the full dihedral-4 group of the
-    square, identity included. Rotations by an odd quarter-turn require a
-    square image.
+    Rotations by an odd quarter-turn require a square image.
     """
-    group = _symmetry_group(ops)
-    choice = int(rng.integers(1, len(group))[0])
-    k, m = group[choice]
+    k, m = _D4[int(rng.integers(1, len(_D4))[0])]
     if k % 2 == 1 and image.shape[-1] != image.shape[-2]:
         raise ShapeError(
             f"rot90 needs a square image, got {image.shape[-2]}x{image.shape[-1]}")
     return apply_symmetry(image, k, m)
 
 
-def compose_patch(patch: BandPatch, alpha=DEFAULT_ALPHA, target=COMPOSITE_SIZE,
+def compose_patch(patch: BandPatch, target=COMPOSITE_SIZE,
                   provenance="") -> RgbComposite:
     """normalize-merge-resize product for an already-normalized patch."""
-    merged = merge_bands(patch, alpha=alpha)
+    merged = merge_bands(patch)
     pixels = bicubic_resize(merged, target=target)
     return RgbComposite(pixels=pixels, provenance=provenance)
 
 
-def preprocess_raw(raw: BandPatch, profile: SensorProfile | None = None,
-                   alpha=DEFAULT_ALPHA, provenance="") -> RgbComposite:
-    """Full pipeline from raw digital numbers: validate, normalize, merge, resize.
+def preprocess_raw(raw: BandPatch) -> RgbComposite:
+    """Full pipeline from raw digital numbers: validate, normalize with the
+    sensor's profile, merge, resize.
 
     Bands of mismatched shape or with non-finite values raise ShapeError.
     """
-    raw.validate()
-    if profile is None:
-        profile = PROFILES[raw.sensor]
-    return compose_patch(normalize_sensor(raw, profile), alpha=alpha,
-                         provenance=provenance)
+    return compose_patch(normalize_sensor(raw.validate(), PROFILES[raw.sensor]))
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,6 @@ class RngStream:
         """Next n standard normal doubles via Box-Muller on uniform pairs."""
         if n < 0:
             raise InvalidParameterError("draw count must be >= 0")
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
         pairs = (n + 1) // 2
         u = self.uniform(2 * pairs)
         u1 = 1.0 - u[:pairs]  # (0, 1]: keeps log() finite

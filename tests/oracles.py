@@ -94,6 +94,29 @@ def batchnorm_train_reference(x, gamma, beta, epsilon):
     return y
 
 
+def batchnorm_train_backward_reference(x, gamma, epsilon, grad_out):
+    """Gradients of train-mode batch norm, one channel at a time, in float64.
+
+    x, grad_out: (N, C, H, W); gamma: (C,).  Returns (gx, grad_gamma, grad_beta).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    C = x.shape[1]
+    gx = np.empty_like(x)
+    grad_gamma = np.empty(C)
+    grad_beta = np.empty(C)
+    for c in range(C):
+        plane, gy = x[:, c], grad_out[:, c]
+        mean = plane.sum() / plane.size
+        std = np.sqrt(((plane - mean) ** 2).sum() / plane.size + epsilon)
+        xhat = (plane - mean) / std
+        grad_beta[c] = gy.sum()
+        grad_gamma[c] = (gy * xhat).sum()
+        gx[:, c] = gamma[c] / std * (
+            gy - grad_beta[c] / plane.size - xhat * grad_gamma[c] / plane.size)
+    return gx, grad_gamma, grad_beta
+
+
 def maxpool2x2_reference(x, grad_out):
     """2x2/2 max pool and its gradient, by loops over every window.
 

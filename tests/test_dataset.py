@@ -1,4 +1,5 @@
 import datetime
+import json
 import os
 
 import numpy as np
@@ -133,6 +134,44 @@ class TestSynthGenerate:
                 # planes are stored as float32, so the ceiling is float32(0.2)
                 assert patch.swir2.max() <= np.float32(0.2)
         assert seen == {ds.SUBCLASS_ERUPTION, *ds.SUBCLASSES_NEGATIVE}
+
+
+
+def _meta_text(**change):
+    meta = {"date": "2018-05-03", "label": 1, "lat": 19.4, "lon": -155.3,
+            "subclass": "eruption"}
+    meta.update(change)
+    return json.dumps({k: v for k, v in meta.items() if v is not None})
+
+
+class TestSampleMeta:
+    @pytest.mark.parametrize("text, error", [
+        ('{"lat": 19.4,', "malformed JSON"),
+        ("[19.4, -155.3]", "expected a JSON object"),
+        (_meta_text(lon=None), "missing key 'lon'"),
+        (_meta_text(label=None), "missing key 'label'"),
+        (_meta_text(label="1"), "label must be 0 or 1"),
+        (_meta_text(label=2), "label must be 0 or 1"),
+        (_meta_text(label=True), "label must be 0 or 1"),
+        (_meta_text(date="2018-13-03"), "date must be an ISO date"),
+        (_meta_text(date=20180503), "date must be an ISO date"),
+        (_meta_text(lat="19.4"), "lat must be a finite number"),
+        (_meta_text(lon=float("nan")), "lon must be a finite number"),
+        (_meta_text(subclass=5), "subclass must be a string"),
+    ], ids=["json", "not-object", "missing-lon", "missing-label", "label-string",
+            "label-two", "label-bool", "bad-month", "date-number", "lat-string",
+            "lon-nan", "subclass-number"])
+    @pytest.mark.parametrize("reader", ["load_sample", "build_manifest"])
+    def test_malformed_meta_names_file_and_key(self, tmp_path, text, error, reader):
+        manifest = ds.synth_generate(1, seed=1, out_dir=str(tmp_path), size=SIZE)
+        sample = manifest.samples[0]
+        with open(os.path.join(sample.path, ds.META_FILENAME), "w") as f:
+            f.write(text)
+        with pytest.raises(CatalogError, match=r"meta\.json: " + error):
+            if reader == "load_sample":
+                ds.load_sample(sample)
+            else:
+                ds.build_manifest(str(tmp_path))
 
 
 class TestBalancedBatches:

@@ -6,9 +6,10 @@ from volcnn import nn
 from volcnn.errors import DegenerateBatchError, InvalidParameterError, ShapeError
 from volcnn.tensor import RngStream
 
-from oracles import (adam_scalar_reference, batchnorm_train_reference,
-                     conv2d_backward_reference, conv2d_reference, max_rel_err,
-                     maxpool2x2_reference, to_nchw, to_nhwc)
+from oracles import (adam_scalar_reference, batchnorm_train_backward_reference,
+                     batchnorm_train_reference, conv2d_backward_reference,
+                     conv2d_reference, max_rel_err, maxpool2x2_reference, to_nchw,
+                     to_nhwc)
 
 
 class TestConv2d:
@@ -128,6 +129,20 @@ class TestBatchNorm2d:
         y, _ = layer.forward_train_nhwc(to_nhwc(x))
         want = batchnorm_train_reference(x, layer.gamma, layer.beta, layer.epsilon)
         np.testing.assert_allclose(to_nchw(y), want, rtol=0, atol=1e-3)
+
+    def test_train_backward_large_offset_matches_float64_reference(self):
+        # mean 100, std 0.05: sum(gy * x) - mean * sum(gy) cancels in float32
+        layer = nn.BatchNorm2d(3)
+        layer.gamma = np.array([1.0, 2.0, 0.5], dtype=np.float32)
+        x = 100.0 + 0.05 * _gauss32(32, 4, 3, 32, 32)
+        gy = _gauss32(33, 4, 3, 32, 32)
+        _, cache = layer.forward_train_nhwc(to_nhwc(x))
+        gx, g_gamma, g_beta = layer.backward_nhwc(cache, to_nhwc(gy))
+        want = batchnorm_train_backward_reference(x, layer.gamma, layer.epsilon, gy)
+        # each gradient within 2e-4 of its largest magnitude; grad_gamma reads
+        # 8e-5 here, and 1.4e-3 when formed from the uncentred x
+        for got, ref in zip((to_nchw(gx), g_gamma, g_beta), want):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=2e-4 * np.abs(ref).max())
 
     def test_train_non_4d_input_rejected(self):
         with pytest.raises(ShapeError, match="4-d"):

@@ -67,13 +67,6 @@ class TestMergeBands:
         hi = make_patch(swir2=np.clip(base + 0.2, 0, 1).astype(np.float32))
         assert np.all(pp.merge_bands(hi)[0] >= pp.merge_bands(lo)[0])
 
-    def test_per_channel_alpha_override(self):
-        patch = make_patch(red=0.2, green=0.2, blue=0.2, swir1=0.0, swir2=0.0)
-        rgb = pp.merge_bands(patch, alpha=(1.0, 2.0, 3.0))
-        assert rgb[0, 0, 0] == pytest.approx(0.2, abs=1e-6)
-        assert rgb[1, 0, 0] == pytest.approx(0.4, abs=1e-6)
-        assert rgb[2, 0, 0] == pytest.approx(0.6, abs=1e-6)
-
 
 class TestBicubicResize:
     def test_constant_preserved(self):
@@ -147,8 +140,19 @@ class TestAugment:
         np.testing.assert_array_equal(out, img)
 
     def test_full_group_has_eight_elements(self):
-        assert len(pp._symmetry_group(("hflip", "vflip", "rot90"))) == 8
-        assert len(pp._symmetry_group(("hflip",))) == 2
+        assert len(set(pp._D4)) == len(pp._D4) == 8
+
+    # (k, m) that augment draws for seeds 0..15; training batches depend on
+    # this mapping, so reordering the symmetry table must fail here.
+    SEED_SYMMETRIES = [(3, 1), (2, 0), (2, 0), (0, 0), (1, 1), (1, 1), (2, 1), (1, 1),
+                       (2, 0), (2, 1), (0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 0)]
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_seed_to_symmetry_mapping_pinned(self, seed):
+        img = np.arange(16.0).reshape(1, 4, 4)
+        k, m = self.SEED_SYMMETRIES[seed]
+        np.testing.assert_array_equal(pp.augment(img, RngStream(seed)),
+                                      pp.apply_symmetry(img, k, m))
 
     def test_fixed_seed_reproducible(self):
         img = RngStream(8).uniform(64).reshape(1, 8, 8)
@@ -169,7 +173,7 @@ class TestAugment:
         raised = False
         for seed in range(20):
             try:
-                pp.augment(img, RngStream(seed), ops=("rot90",))
+                pp.augment(img, RngStream(seed))
             except ShapeError:
                 raised = True
         assert raised
