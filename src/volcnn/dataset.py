@@ -460,16 +460,19 @@ def synth_generate(n_per_class, seed, out_dir,
 def _read_meta(sample_dir):
     """Parse a sample's meta.json into (lat, lon, date, label, subclass).
 
-    A malformed file raises CatalogError naming the file and the key:
-    bad JSON, a missing key, a non-numeric lat/lon, a label other than
-    the integers 0 and 1, a date that is not ISO, or a non-string subclass.
+    A missing or malformed file raises CatalogError naming the file and
+    the key: no file, bad JSON, a missing key, a non-numeric lat/lon, a
+    label other than the integers 0 and 1, a date that is not ISO, or a
+    non-string subclass.
     """
     path = os.path.join(sample_dir, META_FILENAME)
-    with open(path) as f:
-        try:
+    try:
+        with open(path) as f:
             meta = json.load(f)
-        except ValueError as e:
-            raise CatalogError(f"{path}: malformed JSON: {e}") from None
+    except FileNotFoundError:
+        raise CatalogError(f"{path}: missing file") from None
+    except ValueError as e:
+        raise CatalogError(f"{path}: malformed JSON: {e}") from None
     if not isinstance(meta, dict):
         raise CatalogError(f"{path}: expected a JSON object")
     for key in ("lat", "lon", "date", "label"):

@@ -27,7 +27,8 @@ class ProfileError(VolcError):
 
 class CatalogError(VolcError):
     """A catalog or manifest row failed to parse, or a sample's meta.json is
-    malformed; the message carries the line number, or the file and the key."""
+    missing or malformed; the message carries the line number, or the file
+    and the key."""
 
 
 class MissingClassError(VolcError):

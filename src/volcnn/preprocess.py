@@ -37,6 +37,11 @@ COMPOSITE_SIZE = (512, 512)
 ALPHA = 2.5
 SWIR_FLOOR = 0.1
 CUBIC_A = -0.75
+# Output rows per resampling-matrix band in bicubic_resize. Short bands pay
+# a matmul call each; tall ones span more source rows and multiply more
+# zeros. A 3x256^2 -> 512^2 resize (one BLAS thread) took 2.8 ms at 16 rows,
+# 2.5 ms at 32, 2.7 ms at 64 and 3.8 ms at 128.
+_RESIZE_BAND = 32
 
 BAND_ORDER = ("blue", "green", "red", "swir1", "swir2")
 
@@ -170,12 +175,33 @@ def _axis_taps(src_size, dst_size):
     return idx, w
 
 
+def _axis_bands(src_size, dst_size):
+    """One resize axis as bands of its (dst, src) resampling matrix.
+
+    Yields (dst, src, block): block is the matrix's rows dst (a slice of
+    at most _RESIZE_BAND output indices) cut to the span of source indices
+    src that their taps reach. Clamped edge taps add into the border column.
+    """
+    idx, w = _axis_taps(src_size, dst_size)
+    matrix = np.zeros((dst_size, src_size))
+    np.add.at(matrix, (np.arange(dst_size)[:, None], idx), w)
+    for r0 in range(0, dst_size, _RESIZE_BAND):
+        r1 = min(r0 + _RESIZE_BAND, dst_size)
+        lo, hi = idx[r0, 0], idx[r1 - 1, -1] + 1
+        yield slice(r0, r1), slice(lo, hi), matrix[r0:r1, lo:hi]
+
+
 def bicubic_resize(image: np.ndarray, target=COMPOSITE_SIZE) -> np.ndarray:
     """Cubic-convolution resample of (C, H, W) to (C, *target), clipped to [0, 1].
 
-    Separable: rows first, then columns. Edge taps clamp to the border
-    pixel. At target == source size the sample grid lands exactly on the
-    input grid and the output equals the input.
+    Separable: each axis is a (dst, src) resampling matrix with four taps
+    per row, edge taps clamped onto the border pixel. Rows go first, then
+    columns. Each pass is a float64 matmul per band of 32 output rows
+    against only the source span that band reaches, so the zeros of the
+    matrix are mostly skipped; 32 rows measured fastest (see
+    _RESIZE_BAND). Each column band is clipped and cast to float32 once,
+    straight into the output. At target == source size the sample grid
+    lands exactly on the input grid and the output equals the input.
     """
     if image.ndim != 3:
         raise ShapeError(f"expected (C, H, W), got {image.shape}")
@@ -183,13 +209,14 @@ def bicubic_resize(image: np.ndarray, target=COMPOSITE_SIZE) -> np.ndarray:
     th, tw = target
     if H < 4 or W < 4:
         raise ShapeError(f"input too small for bicubic resize: {H}x{W} (need >= 4x4)")
-    iy, wy = _axis_taps(H, th)
-    ix, wx = _axis_taps(W, tw)
-    gathered = image[:, iy, :]                       # (C, th, 4, W)
-    rows = np.einsum("ctkw,tk->ctw", gathered, wy)   # (C, th, W) float64
-    gathered = rows[:, :, ix]                        # (C, th, tw, 4)
-    out = np.einsum("chwk,wk->chw", gathered, wx)    # (C, th, tw)
-    return np.clip(out, 0.0, 1.0).astype(np.float32)
+    x = image.astype(np.float64)
+    rows = np.empty((C, th, W))
+    for dst, src, block in _axis_bands(H, th):
+        np.matmul(block, x[:, src, :], out=rows[:, dst, :])
+    out = np.empty((C, th, tw), dtype=np.float32)
+    for dst, src, block in _axis_bands(W, tw):
+        np.clip(rows[:, :, src] @ block.T, 0.0, 1.0, out=out[:, :, dst])
+    return out
 
 
 def add_gaussian_noise(image: np.ndarray, sigma: float, rng: RngStream) -> np.ndarray:

@@ -141,6 +141,46 @@ def maxpool2x2_reference(x, grad_out):
     return y, gx
 
 
+
+def _keys_cubic(t, a=-0.75):
+    """Keys (1981) cubic convolution kernel at offset t."""
+    t = abs(t)
+    if t <= 1.0:
+        return (a + 2.0) * t ** 3 - (a + 3.0) * t ** 2 + 1.0
+    if t < 2.0:
+        return a * (t ** 3 - 5.0 * t ** 2 + 8.0 * t - 4.0)
+    return 0.0
+
+
+def bicubic_resize_reference(image, target):
+    """Cubic-convolution resize of (C, H, W) to (C, *target), float64.
+
+    Output pixel (i, j) samples the source at ((i + 0.5) * H / th - 0.5,
+    (j + 0.5) * W / tw - 0.5) and sums its 4x4 neighbours weighted by the
+    kernel in each axis; a neighbour outside the image reads the nearest
+    border pixel.  The result is clipped to [0, 1].  Unlike the other
+    oracles this one is channels-first without a batch axis, as the
+    library's resize is.
+    """
+    x = np.asarray(image, dtype=np.float64)
+    C, H, W = x.shape
+    th, tw = target
+    out = np.zeros((C, th, tw), dtype=np.float64)
+    for i in range(th):
+        sy = (i + 0.5) * H / th - 0.5
+        y0 = int(np.floor(sy))
+        for j in range(tw):
+            sx = (j + 0.5) * W / tw - 0.5
+            x0 = int(np.floor(sx))
+            for yy in range(y0 - 1, y0 + 3):
+                wy = _keys_cubic(sy - yy)
+                for xx in range(x0 - 1, x0 + 3):
+                    wx = _keys_cubic(sx - xx)
+                    out[:, i, j] += wy * wx * x[:, min(max(yy, 0), H - 1),
+                                                min(max(xx, 0), W - 1)]
+    return np.clip(out, 0.0, 1.0)
+
+
 def fd_grad(f, x, h=1e-5):
     """Central finite-difference gradient of scalar f() w.r.t. array x.
 

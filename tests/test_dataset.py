@@ -146,6 +146,7 @@ def _meta_text(**change):
 
 class TestSampleMeta:
     @pytest.mark.parametrize("text, error", [
+        (None, "missing file"),
         ('{"lat": 19.4,', "malformed JSON"),
         ("[19.4, -155.3]", "expected a JSON object"),
         (_meta_text(lon=None), "missing key 'lon'"),
@@ -158,15 +159,19 @@ class TestSampleMeta:
         (_meta_text(lat="19.4"), "lat must be a finite number"),
         (_meta_text(lon=float("nan")), "lon must be a finite number"),
         (_meta_text(subclass=5), "subclass must be a string"),
-    ], ids=["json", "not-object", "missing-lon", "missing-label", "label-string",
-            "label-two", "label-bool", "bad-month", "date-number", "lat-string",
-            "lon-nan", "subclass-number"])
+    ], ids=["no-file", "json", "not-object", "missing-lon", "missing-label",
+            "label-string", "label-two", "label-bool", "bad-month", "date-number",
+            "lat-string", "lon-nan", "subclass-number"])
     @pytest.mark.parametrize("reader", ["load_sample", "build_manifest"])
     def test_malformed_meta_names_file_and_key(self, tmp_path, text, error, reader):
         manifest = ds.synth_generate(1, seed=1, out_dir=str(tmp_path), size=SIZE)
         sample = manifest.samples[0]
-        with open(os.path.join(sample.path, ds.META_FILENAME), "w") as f:
-            f.write(text)
+        meta_path = os.path.join(sample.path, ds.META_FILENAME)
+        if text is None:
+            os.remove(meta_path)
+        else:
+            with open(meta_path, "w") as f:
+                f.write(text)
         with pytest.raises(CatalogError, match=r"meta\.json: " + error):
             if reader == "load_sample":
                 ds.load_sample(sample)

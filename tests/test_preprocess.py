@@ -1,11 +1,16 @@
 import datetime
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from volcnn import dataset as ds
 from volcnn import preprocess as pp
 from volcnn.errors import InvalidParameterError, ModelFormatError, ProfileError, ShapeError
 from volcnn.tensor import RngStream
+
+from oracles import bicubic_resize_reference
 
 
 def make_patch(h=8, w=8, sensor=pp.Sensor.SYNTHETIC, **bands):
@@ -100,6 +105,66 @@ class TestBicubicResize:
     def test_too_small_rejected(self):
         with pytest.raises(ShapeError):
             pp.bicubic_resize(np.zeros((1, 3, 8), dtype=np.float32))
+
+    @staticmethod
+    def _image(seed, shape):
+        # values a little outside [0, 1], so the clip is exercised too
+        u = np.random.default_rng(seed).random(shape)
+        return (1.2 * u - 0.1).astype(np.float32)
+
+    @pytest.mark.parametrize("shape, target", [
+        ((3, 20, 20), (45, 45)),
+        ((2, 64, 64), (23, 23)),
+        ((1, 16, 40), (33, 70)),
+        ((3, 33, 16), (12, 40)),
+        ((1, 24, 24), (64, 64)),
+        ((2, 9, 50), (31, 7)),
+    ], ids=["up", "down", "nonsquare-up", "mixed", "band-multiple", "mixed-odd"])
+    def test_matches_reference(self, shape, target):
+        img = self._image(sum(shape) + sum(target), shape)
+        np.testing.assert_allclose(pp.bicubic_resize(img, target=target),
+                                   bicubic_resize_reference(img, target),
+                                   rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("band", [1, 5])
+    def test_short_bands_match_reference(self, monkeypatch, band):
+        # bands of `band` output rows, so 5 leaves a short last band in both axes
+        monkeypatch.setattr(pp, "_RESIZE_BAND", band)
+        img = self._image(band, (2, 17, 23))
+        np.testing.assert_allclose(pp.bicubic_resize(img, target=(29, 12)),
+                                   bicubic_resize_reference(img, (29, 12)),
+                                   rtol=0, atol=1e-6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(c=st.integers(1, 2), h=st.integers(4, 12), w=st.integers(4, 12),
+           th=st.integers(1, 40), tw=st.integers(1, 40), seed=st.integers(0, 2**16))
+    def test_property_matches_reference(self, c, h, w, th, tw, seed):
+        img = self._image(seed, (c, h, w))
+        np.testing.assert_allclose(pp.bicubic_resize(img, target=(th, tw)),
+                                   bicubic_resize_reference(img, (th, tw)),
+                                   rtol=0, atol=1e-6)
+
+
+class TestGoldenDigest:
+    """SHA-256 of the float32 composites (viewed as uint32) that
+    preprocess_raw makes from the patches of synth_generate(2, seed), in
+    manifest order.  The digests were computed with the gather-and-einsum
+    resize that preceded the banded resampling matrices; a refactor of the
+    pipeline must keep them."""
+
+    DIGESTS = {
+        1: "fe7378a35fbd4cee40023eef6e99164185497e67f352f297a5adbce4cf032ce6",
+        2: "7740f63210b7a5b0eecd8aeabed225402f0f48ad382589cf818c7465ad11f81d",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_preprocess_raw_digest_pinned(self, tmp_path, seed):
+        manifest = ds.synth_generate(2, seed, out_dir=str(tmp_path))
+        h = hashlib.sha256()
+        for sample in manifest.samples:
+            patch, _, _ = ds.load_sample(sample)
+            h.update(pp.preprocess_raw(patch).pixels.view(np.uint32).tobytes())
+        assert h.hexdigest() == self.DIGESTS[seed]
 
 
 class TestGaussianNoise:
