@@ -1,4 +1,4 @@
-"""Catalog ingestion, labeled manifests, balanced batches, synthetic data.
+"""Labeled manifests, balanced batches, synthetic data.
 
 A sample on disk is one directory holding ``bands.vbp`` (five-band flat
 binary, see preprocess) and ``meta.json`` (lat, lon, ISO date, label,
@@ -16,9 +16,7 @@ label leak.
 
 from __future__ import annotations
 
-import csv
 import datetime
-import io
 import json
 import math
 import os
@@ -29,9 +27,6 @@ import numpy as np
 from . import preprocess as pp
 from .errors import CatalogError, InvalidParameterError, MissingClassError
 from .tensor import RngStream
-
-CATALOG_HEADER = ("Eruption Start Time", "Volcano name",
-                  "Latitude (deg)", "Longitude (deg)")
 
 LABEL_ERUPTION = 1
 LABEL_NO_ERUPTION = 0
@@ -44,66 +39,6 @@ META_FILENAME = "meta.json"
 MANIFEST_FILENAME = "manifest.jsonl"
 
 SYNTH_PATCH_SIZE = 256
-
-
-# ---------------------------------------------------------------------------
-# eruption catalog
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EruptionRecord:
-    start_date: datetime.date
-    volcano_name: str
-    latitude: float
-    longitude: float
-
-
-def parse_catalog(text: str) -> list[EruptionRecord]:
-    """Parse catalog CSV rows into records, preserving row order.
-
-    Raises CatalogError naming the 1-based line of the first bad row.
-    An empty file yields an empty list.
-    """
-    if not text.strip():
-        return []
-    rows = list(csv.reader(io.StringIO(text)))
-    header = tuple(h.strip() for h in rows[0])
-    if header != CATALOG_HEADER:
-        raise CatalogError(f"line 1: expected header {','.join(CATALOG_HEADER)!r}")
-    records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 4:
-            raise CatalogError(f"line {lineno}: expected 4 columns, got {len(row)}")
-        date_s, name, lat_s, lon_s = (c.strip() for c in row)
-        try:
-            date = datetime.date.fromisoformat(date_s)
-        except ValueError:
-            raise CatalogError(f"line {lineno}: malformed date {date_s!r}") from None
-        try:
-            lat = float(lat_s)
-            lon = float(lon_s)
-        except ValueError:
-            raise CatalogError(f"line {lineno}: malformed coordinate") from None
-        if not -90.0 <= lat <= 90.0:
-            raise CatalogError(f"line {lineno}: latitude out of range: {lat}")
-        if not -180.0 <= lon <= 180.0:
-            raise CatalogError(f"line {lineno}: longitude out of range: {lon}")
-        records.append(EruptionRecord(date, name, lat, lon))
-    return records
-
-
-def serialize_catalog(records) -> str:
-    """Canonical CSV form: ISO dates, coordinates with 3 decimals."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(CATALOG_HEADER)
-    for r in records:
-        w.writerow([r.start_date.isoformat(), r.volcano_name,
-                    f"{r.latitude:.3f}", f"{r.longitude:.3f}"])
-    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +58,11 @@ class Sample:
 
 
 class DatasetManifest:
+    """Samples with unique paths and splits in SPLITS; load checks both for a
+    file, and build_manifest makes both by construction."""
+
     def __init__(self, samples):
         self.samples = list(samples)
-        paths = [s.path for s in self.samples]
-        if len(set(paths)) != len(paths):
-            raise InvalidParameterError("manifest paths must be unique")
-        for s in self.samples:
-            if s.split not in SPLITS:
-                raise InvalidParameterError(f"bad split {s.split!r}")
 
     def split(self, name):
         return [s for s in self.samples if s.split == name]
@@ -149,7 +81,7 @@ class DatasetManifest:
     def load(cls, path):
         """Read a JSONL manifest; a bad row raises CatalogError naming its 1-based line."""
         samples, seen = [], set()
-        with open(path) as f:
+        with open(path, "rb") as f:
             for lineno, line in enumerate(f, start=1):
                 if line.strip():
                     s = _parse_manifest_row(line, lineno)
@@ -160,26 +92,34 @@ class DatasetManifest:
         return cls(samples)
 
 
-def _parse_manifest_row(line, lineno):
+def _parse_record(text, where, keys):
+    """Parse a manifest row or a meta.json into a dict, checking what both
+    share: a JSON object with every key in keys, a label that is the integer
+    0 or 1, string path and subclass. Each CatalogError starts with where."""
     try:
-        d = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise CatalogError(f"line {lineno}: malformed JSON: {e.msg}") from None
+        d = json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise CatalogError(f"{where}: malformed JSON: {e}") from None
     if not isinstance(d, dict):
-        raise CatalogError(f"line {lineno}: expected a JSON object")
-    missing = [k for k in ("path", "label", "subclass", "split") if k not in d]
-    if missing:
-        raise CatalogError(f"line {lineno}: missing key {missing[0]!r}")
+        raise CatalogError(f"{where}: expected a JSON object")
+    for key in keys:
+        if key not in d:
+            raise CatalogError(f"{where}: missing key {key!r}")
     label = d["label"]
-    # bool is an int subclass; a manifest written by save() never holds one
+    # bool is an int subclass; a record this module writes never holds one
     if type(label) is not int or label not in (LABEL_NO_ERUPTION, LABEL_ERUPTION):
-        raise CatalogError(f"line {lineno}: label must be 0 or 1, got {label!r}")
+        raise CatalogError(f"{where}: label must be 0 or 1, got {label!r}")
     for key in ("path", "subclass"):
-        if not isinstance(d[key], str):
-            raise CatalogError(f"line {lineno}: {key} must be a string, got {d[key]!r}")
+        if key in keys and not isinstance(d[key], str):
+            raise CatalogError(f"{where}: {key} must be a string, got {d[key]!r}")
+    return d
+
+
+def _parse_manifest_row(line, lineno):
+    d = _parse_record(line, f"line {lineno}", ("path", "label", "subclass", "split"))
     if d["split"] not in SPLITS:
         raise CatalogError(f"line {lineno}: bad split {d['split']!r}")
-    return Sample(d["path"], label, d["subclass"], d["split"])
+    return Sample(d["path"], d["label"], d["subclass"], d["split"])
 
 
 def _shuffled(rng: RngStream, items):
@@ -461,38 +401,26 @@ def _read_meta(sample_dir):
     """Parse a sample's meta.json into (lat, lon, date, label, subclass).
 
     A missing or malformed file raises CatalogError naming the file and
-    the key: no file, bad JSON, a missing key, a non-numeric lat/lon, a
-    label other than the integers 0 and 1, a date that is not ISO, or a
-    non-string subclass.
+    the key: no file, bad JSON, a missing key, a label other than the
+    integers 0 and 1, a non-string subclass, a non-numeric lat/lon, or a
+    date that is not ISO.
     """
     path = os.path.join(sample_dir, META_FILENAME)
     try:
-        with open(path) as f:
-            meta = json.load(f)
+        with open(path, "rb") as f:
+            data = f.read()
     except FileNotFoundError:
         raise CatalogError(f"{path}: missing file") from None
-    except ValueError as e:
-        raise CatalogError(f"{path}: malformed JSON: {e}") from None
-    if not isinstance(meta, dict):
-        raise CatalogError(f"{path}: expected a JSON object")
-    for key in ("lat", "lon", "date", "label"):
-        if key not in meta:
-            raise CatalogError(f"{path}: missing key {key!r}")
+    meta = _parse_record(data, path, ("lat", "lon", "date", "label", "subclass"))
     for key in ("lat", "lon"):
         # bool is an int subclass, and json reads NaN and Infinity
         if type(meta[key]) not in (int, float) or not math.isfinite(meta[key]):
             raise CatalogError(f"{path}: {key} must be a finite number, got {meta[key]!r}")
-    label = meta["label"]
-    if type(label) is not int or label not in (LABEL_NO_ERUPTION, LABEL_ERUPTION):
-        raise CatalogError(f"{path}: label must be 0 or 1, got {label!r}")
     try:
         date = datetime.date.fromisoformat(meta["date"])
     except (TypeError, ValueError):
         raise CatalogError(f"{path}: date must be an ISO date, got {meta['date']!r}") from None
-    subclass = meta.get("subclass", "unknown")
-    if not isinstance(subclass, str):
-        raise CatalogError(f"{path}: subclass must be a string, got {subclass!r}")
-    return float(meta["lat"]), float(meta["lon"]), date, label, subclass
+    return float(meta["lat"]), float(meta["lon"]), date, meta["label"], meta["subclass"]
 
 
 def load_sample(sample: Sample):

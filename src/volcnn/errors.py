@@ -26,34 +26,15 @@ class ProfileError(VolcError):
 
 
 class CatalogError(VolcError):
-    """A catalog or manifest row failed to parse, or a sample's meta.json is
-    missing or malformed; the message carries the line number, or the file
-    and the key."""
+    """A manifest row failed to parse, or a sample's meta.json is missing or
+    malformed; the message carries the line number, or the file and the key."""
 
 
 class MissingClassError(VolcError):
     """An operation that needs both classes saw only one."""
 
 
-class DivergenceError(VolcError):
-    """Training loss became non-finite; message names epoch and batch."""
-
-
-class EmptyInputError(VolcError):
-    """An aggregate was requested over zero samples."""
-
-
-class InvalidScoreError(VolcError):
-    """Classification score outside [0, 1]."""
-
-
 class ModelFormatError(VolcError):
-    """Model file is not parseable (bad magic, truncation); names the offset."""
-
-
-class ChecksumError(ModelFormatError):
-    """Model file parsed but its trailing CRC32 does not match."""
-
-
-class ModelIntegrityError(VolcError):
-    """Parsed weight data inconsistent with the declared layer table."""
+    """A VBP1 or VRC1 plane file is not parseable: bad magic, truncation,
+    trailing bytes, an empty plane, an unknown sensor id or a non-finite
+    value; the message names the byte offset."""

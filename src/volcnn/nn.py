@@ -14,10 +14,11 @@ input is the same-padded correlation of grad_out with the kernel flipped in
 both spatial axes and its in/out channels swapped, and the gradient w.r.t.
 the weights is the input's im2col matrix, transposed, times grad_out.
 
-Default hyperparameters follow the conventions of the training-framework
-family this detector was prototyped with: Adam(lr=1e-3, 0.9, 0.999, 1e-8),
-batchnorm momentum 0.99 / epsilon 1e-3, dropout rate 0.5 with inverted
-scaling, binary cross-entropy inputs clamped to [1e-7, 1 - 1e-7].
+Hyperparameters follow the conventions of the training-framework family
+this detector was prototyped with.  Adam's beta1 0.9, beta2 0.999 and epsilon
+1e-8 and batchnorm's momentum 0.99 and epsilon 1e-3 are class constants; Adam
+lr 1e-3 and dropout rate 0.5 (inverted scaling) are constructor defaults.
+Binary cross-entropy inputs are clamped to [1e-7, 1 - 1e-7].
 """
 
 from __future__ import annotations
@@ -149,12 +150,11 @@ class Conv2d:
 class BatchNorm2d:
     """Per-channel batch normalization over (N, H, W)."""
 
-    def __init__(self, channels, momentum=0.99, epsilon=1e-3, dtype=DEFAULT_DTYPE):
-        if not 0.0 < momentum < 1.0:
-            raise InvalidParameterError("momentum must be in (0, 1)")
+    momentum = 0.99
+    epsilon = 1e-3
+
+    def __init__(self, channels, dtype=DEFAULT_DTYPE):
         self.channels = channels
-        self.momentum = momentum
-        self.epsilon = epsilon
         self.dtype = np.dtype(dtype)
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
@@ -392,11 +392,12 @@ def bce_loss(predictions, labels):
 class Adam:
     """Adam with bias correction. One step() call = one update = step_count + 1."""
 
-    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    epsilon = 1e-8
+
+    def __init__(self, learning_rate=1e-3):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.first_moment = []
         self.second_moment = []

@@ -297,6 +297,8 @@ def _read_planes(path, magic, n_planes):
         got_magic, H, W, sensor_id = _HEADER.unpack(head)
         if got_magic != magic:
             raise ModelFormatError(f"{path}: bad magic {got_magic!r} at offset 0")
+        if H == 0 or W == 0:
+            raise ModelFormatError(f"{path}: empty {H}x{W} planes at offset {len(magic)}")
         want = n_planes * H * W * 4
         data = f.read(want)
         if len(data) != want:
@@ -305,8 +307,13 @@ def _read_planes(path, magic, n_planes):
         if f.read(1):
             raise ModelFormatError(
                 f"{path}: trailing bytes at offset {_HEADER.size + want}")
-    arr = np.frombuffer(data, dtype="<f4").reshape(n_planes, H, W)
-    return arr.astype(np.float32), sensor_id
+    arr = np.frombuffer(data, dtype="<f4").astype(np.float32)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ModelFormatError(f"{path}: non-finite value {arr[i]} "
+                               f"at offset {_HEADER.size + 4 * i}")
+    return arr.reshape(n_planes, H, W), sensor_id
 
 
 def save_band_planes(path, patch: BandPatch):

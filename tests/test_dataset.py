@@ -1,4 +1,3 @@
-import datetime
 import json
 import os
 
@@ -10,41 +9,6 @@ from volcnn.errors import CatalogError, InvalidParameterError
 from volcnn.tensor import RngStream
 
 SIZE = 32  # small patches keep the synthetic tests fast
-
-CATALOG = (
-    "Eruption Start Time,Volcano name,Latitude (deg),Longitude (deg)\n"
-    "2018-05-03,Kilauea,19.421,-155.287\n"
-    "\n"
-    '2021-09-19,"Cumbre Vieja, La Palma",28.570,-17.840\n'
-    "2010-04-14,Eyjafjallajokull,63.630,-19.620\n"
-)
-
-
-class TestCatalog:
-    def test_parse_serialize_parse_round_trip(self):
-        records = ds.parse_catalog(CATALOG)
-        assert [r.volcano_name for r in records] == [
-            "Kilauea", "Cumbre Vieja, La Palma", "Eyjafjallajokull"]
-        assert records[0].start_date == datetime.date(2018, 5, 3)
-        assert records[1].latitude == pytest.approx(28.57)
-        text = ds.serialize_catalog(records)
-        assert ds.parse_catalog(text) == records
-        assert ds.serialize_catalog(ds.parse_catalog(text)) == text
-
-    def test_empty_text_is_empty_catalog(self):
-        assert ds.parse_catalog("  \n") == []
-
-    @pytest.mark.parametrize("text, error", [
-        # line 3 is blank and still counts
-        (CATALOG.replace("2021-09-19", "2021-19-09"), "^line 4: malformed date"),
-        (CATALOG.replace("63.630", "93.630"), "^line 5: latitude out of range"),
-        ("date,name,lat,lon\n2018-05-03,Kilauea,19.4,-155.3\n",
-         "^line 1: expected header"),
-    ], ids=["date", "latitude", "header"])
-    def test_error_names_its_line(self, text, error):
-        with pytest.raises(CatalogError, match=error):
-            ds.parse_catalog(text)
-
 
 @pytest.fixture(scope="module")
 def synth(tmp_path_factory):
@@ -96,11 +60,23 @@ class TestManifest:
          "^line 3: label must be 0 or 1"),
         ('{"path": "b", "label": 1, "subclass": "x", "split": "train"}',
          "^line 3: duplicate path 'b'"),
-    ], ids=["json", "missing-key", "label-string", "label-float", "duplicate-path"])
+        ('["a", 1, "x", "train"]', "^line 3: expected a JSON object"),
+        ('{"path": "a", "label": 1, "subclass": "x", "split": "holdout"}',
+         "^line 3: bad split 'holdout'"),
+        ('{"path": 7, "label": 1, "subclass": "x", "split": "train"}',
+         "^line 3: path must be a string"),
+        ('{"path": "a", "label": 1, "subclass": 5, "split": "train"}',
+         "^line 3: subclass must be a string"),
+        ('{"path": "\xe9", "label": 1, "subclass": "x", "split": "train"}',
+         "^line 3: malformed JSON"),
+    ], ids=["json", "missing-key", "label-string", "label-float", "duplicate-path",
+            "not-object", "bad-split", "path-number", "subclass-number", "not-utf8"])
     def test_load_error_names_its_line(self, tmp_path, row, error):
         good = '{"path": "b", "label": 0, "subclass": "clear", "split": "val"}'
         path = tmp_path / ds.MANIFEST_FILENAME
-        path.write_text(good + "\n\n" + row + "\n")  # line 2 is blank and still counts
+        # line 2 is blank and still counts; latin-1 writes the not-utf8 row's
+        # e-acute as the one byte 0xe9, which is not UTF-8
+        path.write_bytes((good + "\n\n" + row + "\n").encode("latin-1"))
         with pytest.raises(CatalogError, match=error):
             ds.DatasetManifest.load(path)
 
@@ -159,9 +135,10 @@ class TestSampleMeta:
         (_meta_text(lat="19.4"), "lat must be a finite number"),
         (_meta_text(lon=float("nan")), "lon must be a finite number"),
         (_meta_text(subclass=5), "subclass must be a string"),
+        (_meta_text(subclass=None), "missing key 'subclass'"),
     ], ids=["no-file", "json", "not-object", "missing-lon", "missing-label",
             "label-string", "label-two", "label-bool", "bad-month", "date-number",
-            "lat-string", "lon-nan", "subclass-number"])
+            "lat-string", "lon-nan", "subclass-number", "missing-subclass"])
     @pytest.mark.parametrize("reader", ["load_sample", "build_manifest"])
     def test_malformed_meta_names_file_and_key(self, tmp_path, text, error, reader):
         manifest = ds.synth_generate(1, seed=1, out_dir=str(tmp_path), size=SIZE)

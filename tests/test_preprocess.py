@@ -1,5 +1,6 @@
 import datetime
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -330,6 +331,35 @@ class TestPlaneFiles:
         with open(path, "ab") as f:
             f.write(b"\0")
         with pytest.raises(ModelFormatError, match=f"trailing bytes at offset {size}"):
+            load(path)
+
+    @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_value_rejected(self, tmp_path, fmt, value):
+        path = tmp_path / "planes.bin"
+        if fmt == "vbp1":
+            patch = make_patch(h=6, w=5)
+            patch.swir1[2, 3] = value  # plane 3, flat index 3*30 + 2*5 + 3
+            patch.swir2[0, 0] = value  # a later one is not the one named
+            pp.save_band_planes(path, patch)
+            load, i = pp.load_band_planes, 103
+        else:
+            pixels = np.zeros((3, 4, 4), dtype=np.float32)
+            pixels[1, 0, 2] = value  # flat index 16 + 2
+            pixels[2, 3, 3] = value
+            pp.save_composite(path, pp.RgbComposite(pixels=pixels, provenance="x"))
+            load, i = pp.load_composite, 18
+        with pytest.raises(ModelFormatError, match=f"non-finite value .* at offset {9 + 4 * i}$"):
+            load(path)
+
+    @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
+    @pytest.mark.parametrize("h, w", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_planes_rejected(self, tmp_path, fmt, h, w):
+        path = tmp_path / "planes.bin"
+        magic, load = ((pp.PATCH_MAGIC, pp.load_band_planes) if fmt == "vbp1"
+                       else (pp.COMPOSITE_MAGIC, pp.load_composite))
+        path.write_bytes(magic + struct.pack("<HHB", h, w, 2))
+        with pytest.raises(ModelFormatError, match=f"empty {h}x{w} planes at offset 4"):
             load(path)
 
     def test_bad_magic_rejected(self, tmp_path):
