@@ -400,10 +400,11 @@ def synth_generate(n_per_class, seed, out_dir,
 def _read_meta(sample_dir):
     """Parse a sample's meta.json into (lat, lon, date, label, subclass).
 
-    A missing or malformed file raises CatalogError naming the file and
-    the key: no file, bad JSON, a missing key, a label other than the
-    integers 0 and 1, a non-string subclass, a non-numeric lat/lon, or a
-    date that is not ISO.
+    A missing, unreadable or malformed file raises CatalogError naming the
+    file and the key: no file, a path that cannot be read (a directory,
+    say), bad JSON, a missing key, a label other than the integers 0 and
+    1, a non-string subclass, a non-numeric lat/lon, or a date that is
+    not ISO.
     """
     path = os.path.join(sample_dir, META_FILENAME)
     try:
@@ -411,6 +412,8 @@ def _read_meta(sample_dir):
             data = f.read()
     except FileNotFoundError:
         raise CatalogError(f"{path}: missing file") from None
+    except OSError as e:
+        raise CatalogError(f"{path}: cannot read: {e.strerror}") from None
     meta = _parse_record(data, path, ("lat", "lon", "date", "label", "subclass"))
     for key in ("lat", "lon"):
         # bool is an int subclass, and json reads NaN and Infinity

@@ -281,9 +281,24 @@ _HEADER = struct.Struct("<4sHHB")  # magic, H, W, sensor id
 _SENSOR_OFFSET = _HEADER.size - 1
 
 
-def _write_planes(path, magic, planes, sensor_id):
+def _write_planes(path, magic, n_planes, planes, sensor_id):
+    """Write a plane file, refusing before the file is opened what
+    _read_planes would refuse: a shape other than (n_planes, H, W), an
+    empty plane, H or W above the header's 65535, or a non-finite value
+    (the first one is named by its (plane, row, col) index)."""
     planes = np.ascontiguousarray(planes, dtype="<f4")
+    if planes.ndim != 3 or planes.shape[0] != n_planes:
+        raise ShapeError(f"{path}: expected ({n_planes}, H, W) planes, got {planes.shape}")
     _, H, W = planes.shape
+    if H == 0 or W == 0:
+        raise ShapeError(f"{path}: empty {H}x{W} planes")
+    if max(H, W) > 0xFFFF:
+        raise ShapeError(f"{path}: {H}x{W} planes exceed 65535")
+    finite = np.isfinite(planes)
+    if not finite.all():
+        i = np.unravel_index(int(finite.argmin()), planes.shape)
+        raise ShapeError(f"{path}: non-finite value {planes[i]} at index "
+                         f"{tuple(int(k) for k in i)}")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(magic, H, W, sensor_id))
         f.write(planes.tobytes())
@@ -318,7 +333,7 @@ def _read_planes(path, magic, n_planes):
 
 def save_band_planes(path, patch: BandPatch):
     """Write the five band planes of a patch as a VBP1 file."""
-    _write_planes(path, PATCH_MAGIC, np.stack(patch.bands()), int(patch.sensor))
+    _write_planes(path, PATCH_MAGIC, 5, np.stack(patch.bands()), int(patch.sensor))
 
 
 def load_band_planes(path):
@@ -332,7 +347,7 @@ def load_band_planes(path):
 
 
 def save_composite(path, composite: RgbComposite):
-    _write_planes(path, COMPOSITE_MAGIC, composite.pixels, 0)
+    _write_planes(path, COMPOSITE_MAGIC, 3, composite.pixels, 0)
 
 
 def load_composite(path, provenance="") -> RgbComposite:

@@ -123,6 +123,7 @@ def _meta_text(**change):
 class TestSampleMeta:
     @pytest.mark.parametrize("text, error", [
         (None, "missing file"),
+        (IsADirectoryError, "cannot read: Is a directory"),
         ('{"lat": 19.4,', "malformed JSON"),
         ("[19.4, -155.3]", "expected a JSON object"),
         (_meta_text(lon=None), "missing key 'lon'"),
@@ -136,9 +137,10 @@ class TestSampleMeta:
         (_meta_text(lon=float("nan")), "lon must be a finite number"),
         (_meta_text(subclass=5), "subclass must be a string"),
         (_meta_text(subclass=None), "missing key 'subclass'"),
-    ], ids=["no-file", "json", "not-object", "missing-lon", "missing-label",
-            "label-string", "label-two", "label-bool", "bad-month", "date-number",
-            "lat-string", "lon-nan", "subclass-number", "missing-subclass"])
+    ], ids=["no-file", "meta-is-directory", "json", "not-object", "missing-lon",
+            "missing-label", "label-string", "label-two", "label-bool", "bad-month",
+            "date-number", "lat-string", "lon-nan", "subclass-number",
+            "missing-subclass"])
     @pytest.mark.parametrize("reader", ["load_sample", "build_manifest"])
     def test_malformed_meta_names_file_and_key(self, tmp_path, text, error, reader):
         manifest = ds.synth_generate(1, seed=1, out_dir=str(tmp_path), size=SIZE)
@@ -146,6 +148,9 @@ class TestSampleMeta:
         meta_path = os.path.join(sample.path, ds.META_FILENAME)
         if text is None:
             os.remove(meta_path)
+        elif text is IsADirectoryError:
+            os.remove(meta_path)
+            os.mkdir(meta_path)
         else:
             with open(meta_path, "w") as f:
                 f.write(text)

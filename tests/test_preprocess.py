@@ -336,19 +336,20 @@ class TestPlaneFiles:
     @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_value_rejected(self, tmp_path, fmt, value):
+        # written by hand: the writers refuse non-finite planes
         path = tmp_path / "planes.bin"
         if fmt == "vbp1":
-            patch = make_patch(h=6, w=5)
-            patch.swir1[2, 3] = value  # plane 3, flat index 3*30 + 2*5 + 3
-            patch.swir2[0, 0] = value  # a later one is not the one named
-            pp.save_band_planes(path, patch)
-            load, i = pp.load_band_planes, 103
+            planes = np.full((5, 6, 5), 0.1, dtype="<f4")
+            planes[3, 2, 3] = value  # flat index 3*30 + 2*5 + 3
+            planes[4, 0, 0] = value  # a later one is not the one named
+            magic, load, i = pp.PATCH_MAGIC, pp.load_band_planes, 103
         else:
-            pixels = np.zeros((3, 4, 4), dtype=np.float32)
-            pixels[1, 0, 2] = value  # flat index 16 + 2
-            pixels[2, 3, 3] = value
-            pp.save_composite(path, pp.RgbComposite(pixels=pixels, provenance="x"))
-            load, i = pp.load_composite, 18
+            planes = np.zeros((3, 4, 4), dtype="<f4")
+            planes[1, 0, 2] = value  # flat index 16 + 2
+            planes[2, 3, 3] = value
+            magic, load, i = pp.COMPOSITE_MAGIC, pp.load_composite, 18
+        _, h, w = planes.shape
+        path.write_bytes(magic + struct.pack("<HHB", h, w, 2) + planes.tobytes())
         with pytest.raises(ModelFormatError, match=f"non-finite value .* at offset {9 + 4 * i}$"):
             load(path)
 
@@ -361,6 +362,37 @@ class TestPlaneFiles:
         path.write_bytes(magic + struct.pack("<HHB", h, w, 2))
         with pytest.raises(ModelFormatError, match=f"empty {h}x{w} planes at offset 4"):
             load(path)
+
+    @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
+    @pytest.mark.parametrize("shape, error", [
+        ((4,), r"expected \(\d, H, W\) planes, got \(\d, 4\)"),
+        ((4, 4, 1), r"expected \(\d, H, W\) planes, got \(\d, 4, 4, 1\)"),
+        ((3, 0), "empty 3x0 planes"),
+        ((1, 65536), "1x65536 planes exceed 65535"),
+        ((65536, 1), "65536x1 planes exceed 65535"),
+        ((4, 4), r"non-finite value nan at index \(1, 0, 2\)"),
+    ], ids=["1-d", "4-d", "empty", "wide", "tall", "nan"])
+    def test_writer_refuses_what_reader_refuses(self, tmp_path, fmt, shape, error):
+        planes = np.zeros((5 if fmt == "vbp1" else 3,) + shape, dtype=np.float32)
+        if error.startswith("non-finite"):
+            planes[1, 0, 2] = np.nan
+            planes[2, 3, 3] = np.inf  # a later one is not the one named
+        path = tmp_path / "planes.bin"
+        with pytest.raises(ShapeError, match=f"planes.bin: {error}$"):
+            if fmt == "vbp1":
+                pp.save_band_planes(path, pp.BandPatch(
+                    *planes, sensor=pp.Sensor.SYNTHETIC, center_lat=0.0,
+                    center_lon=0.0, acquired=datetime.date(2019, 6, 22)))
+            else:
+                pp.save_composite(path, pp.RgbComposite(pixels=planes, provenance="x"))
+        assert not path.exists()
+
+    def test_composite_of_wrong_plane_count_refused(self, tmp_path):
+        path = tmp_path / "comp.vrc"
+        with pytest.raises(ShapeError, match=r"expected \(3, H, W\) planes, got \(2, 4, 4\)"):
+            pp.save_composite(path, pp.RgbComposite(
+                pixels=np.zeros((2, 4, 4), dtype=np.float32), provenance="x"))
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bands.vbp"
