@@ -332,8 +332,14 @@ def _read_planes(path, magic, n_planes):
 
 
 def save_band_planes(path, patch: BandPatch):
-    """Write the five band planes of a patch as a VBP1 file."""
-    _write_planes(path, PATCH_MAGIC, 5, np.stack(patch.bands()), int(patch.sensor))
+    """Write the five band planes of a patch as a VBP1 file; ShapeError,
+    before the file is opened, if the bands differ in shape."""
+    bands = patch.bands()
+    for name, b in zip(BAND_ORDER, bands):
+        if np.shape(b) != np.shape(bands[0]):
+            raise ShapeError(f"{path}: band {name} shape {np.shape(b)} "
+                             f"!= {np.shape(bands[0])}")
+    _write_planes(path, PATCH_MAGIC, 5, np.stack(bands), int(patch.sensor))
 
 
 def load_band_planes(path):

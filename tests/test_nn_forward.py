@@ -180,6 +180,46 @@ class TestBatchNorm2d:
         _, _, gb = layer.backward_nhwc(cache, gy)
         np.testing.assert_allclose(gb, gy.sum(axis=(0, 1, 2)), rtol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(2, 3, 1, 4), (2, 3, 5, 1), (3, 4, 6, 5)],
+                             ids=["W=1", "C=1", "W=6,C=5"])
+    def test_tiled_ops_match_broadcast_formula_bitwise(self, shape):
+        # The layer applies each per-channel vector tiled W times to the
+        # (N*H, W*C) view.  The same arithmetic broadcast on the 4-d map must
+        # give the same bits in every output.
+        N, H, W, C = shape
+        cnt = N * H * W
+        layer = nn.BatchNorm2d(C)
+        layer.gamma = 1.0 + 0.5 * _gauss32(60, C)
+        layer.beta = _gauss32(61, C)
+        layer.running_mean = _gauss32(62, C)
+        layer.running_var = 0.5 + np.square(_gauss32(63, C))
+        x = 2.0 + 3.0 * _gauss32(64, *shape)
+        gy = _gauss32(65, *shape)
+        eps = layer.epsilon
+
+        inv = (1.0 / np.sqrt(layer.running_var + eps)).astype(np.float32)
+        a = layer.gamma * inv
+        want = [x * a + (layer.beta - layer.running_mean * a)]
+        got = [layer.forward_infer_nhwc(x)]
+
+        mean = (np.einsum("nhwc->c", x, dtype=np.float64) / cnt).astype(np.float32)
+        d = x - mean
+        inv = (1.0 / np.sqrt(np.einsum("nhwc,nhwc->c", d, d) / cnt + eps)).astype(np.float32)
+        want.append(d * (layer.gamma * inv) + layer.beta)
+        y, cache = layer.forward_train_nhwc(x)
+        got.append(y)
+
+        g_gamma = (np.einsum("nhwc,nhwc->c", gy, d) * inv).astype(np.float32)
+        g_beta = np.einsum("nhwc->c", gy, dtype=np.float64).astype(np.float32)
+        A = layer.gamma * inv
+        B = (-A * inv * g_gamma / cnt).astype(np.float32)
+        Cc = (-A * g_beta / cnt).astype(np.float32)
+        want += [gy * A + d * B + Cc, g_gamma, g_beta]
+        got += layer.backward_nhwc(cache, gy)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float32 and g.shape == w.shape
+            np.testing.assert_array_equal(g.view(np.uint32), w.view(np.uint32))
+
 
 class TestStatelessOps:
     def test_relu(self):
@@ -291,20 +331,24 @@ class TestMaxPoolOracle:
         _pool_against_reference(x, _gauss32(seed + 1, n, c, ho, wo))
 
 
-def _conv_backward_against_reference(n, c, k, kernel, h, w, seed):
-    """Float32 backward_nhwc against the float64 loop oracle.
+def _conv_against_reference(n, c, k, kernel, h, w, seed):
+    """Float32 forward_nhwc and backward_nhwc against the float64 loop oracles.
 
-    Each gradient may be off by 1e-5 of its largest magnitude: float32
-    sums of at most a few hundred products stay far inside that, and a
-    kernel flipped on the wrong axis or channels swapped miss it by orders.
+    The output and each gradient may be off by 1e-5 of its largest
+    magnitude: float32 sums of at most a few hundred products stay far
+    inside that, and a kernel flipped on the wrong axis, channels swapped or
+    a patch-matrix block read at the wrong offset miss it by orders.
     """
     layer = nn.Conv2d(c, k, kernel=kernel)
     layer.init_params(RngStream(seed))
+    layer.bias = _gauss32(seed + 3, k)
     x = _gauss32(seed + 1, n, c, h, w)
     gy = _gauss32(seed + 2, n, k, h, w)
+    y = layer.forward_nhwc(to_nhwc(x))
     gx, gw, gb = layer.backward_nhwc(to_nhwc(x), to_nhwc(gy))
-    want = conv2d_backward_reference(x, layer.weights, gy)
-    for got, ref in zip((to_nchw(gx), gw, gb), want):
+    want = (conv2d_reference(x, layer.weights, layer.bias),
+            *conv2d_backward_reference(x, layer.weights, gy))
+    for got, ref in zip((to_nchw(y), to_nchw(gx), gw, gb), want):
         assert got.dtype == np.float32 and got.shape == ref.shape
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
 
@@ -313,14 +357,34 @@ class TestConvBackwardOracle:
     @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (3, 5), (5, 3)])
     @pytest.mark.parametrize("c,k", [(2, 3), (3, 2)])
     def test_matches_reference(self, kernel, c, k):
-        _conv_backward_against_reference(2, c, k, kernel, 6, 7, seed=40)
+        _conv_against_reference(2, c, k, kernel, 6, 7, seed=40)
 
     @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 2), c=st.integers(1, 3), k=st.integers(1, 3),
+    @given(n=st.integers(1, 2), c=st.integers(1, 9), k=st.integers(1, 3),
            kh=st.sampled_from([1, 3, 5]), kw=st.sampled_from([1, 3, 5]),
-           h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 2**32 - 3))
+           h=st.integers(1, 6), w=st.integers(1, 12), seed=st.integers(0, 2**32 - 4))
     def test_property_matches_reference(self, n, c, k, kh, kw, h, w, seed):
-        _conv_backward_against_reference(n, c, k, (kh, kw), h, w, seed)
+        _conv_against_reference(n, c, k, (kh, kw), h, w, seed)
+
+
+class TestConvPixelBlocks:
+    """A patch-matrix row covers p adjacent output pixels; p comes from the
+    input channels and the width.  Each case runs forward, grad_w and the
+    grad-input correlation (which reads k = 2 channels: p = 4, or 1 at
+    w = 5) against the loop oracles."""
+
+    @pytest.mark.parametrize("channels, width, p", [
+        (1, 512, 4), (3, 512, 4), (7, 512, 4), (8, 256, 2), (16, 256, 2),
+        (31, 128, 2), (32, 128, 1), (512, 32, 1),
+        (3, 6, 2), (3, 5, 1), (16, 5, 1)])
+    def test_block_width_rule(self, channels, width, p):
+        assert nn._block_width(channels, width) == p
+
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 5), (5, 3)])
+    @pytest.mark.parametrize("w", [4, 8, 12, 5])  # 5: p falls back to 1
+    @pytest.mark.parametrize("c", [1, 3, 5, 7, 16])
+    def test_matches_reference(self, c, w, kernel):
+        _conv_against_reference(2, c, 2, kernel, 3, w, seed=50)
 
 
 class TestConvRowBands:
@@ -330,20 +394,23 @@ class TestConvRowBands:
 
     @pytest.mark.parametrize("rows", [1, 2, 4])
     def test_banded_forward_and_backward_match_reference(self, monkeypatch, rows):
-        c, k, kernel, h, w = 2, 3, (5, 3), 7, 6
-        layer = nn.Conv2d(c, k, kernel=kernel)
+        c, k, (kh, kw), h, w = 2, 3, (5, 3), 7, 6
+        p = 2  # pixels per patch row: 4 for 2 channels, halved to divide w = 6
+        assert nn._block_width(c, w) == p
+        layer = nn.Conv2d(c, k, kernel=(kh, kw))
         layer.init_params(RngStream(42))
         layer.bias = _gauss32(43, k)
         x = _gauss32(44, 2, c, h, w)
         gy = to_nhwc(_gauss32(45, 2, k, h, w))
         _, gw_whole, _ = layer.backward_nhwc(to_nhwc(x), gy)
-        monkeypatch.setattr(nn, "_BAND_BYTES", rows * w * kernel[0] * kernel[1] * c * 4)
+        # w/p patch rows of kh * (p + kw - 1) * c float32 columns per output row
+        monkeypatch.setattr(nn, "_BAND_BYTES", rows * (w // p) * kh * (p + kw - 1) * c * 4)
         got = to_nchw(layer.forward_nhwc(to_nhwc(x)))
         want = conv2d_reference(x, layer.weights, layer.bias)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
         _, gw, _ = layer.backward_nhwc(to_nhwc(x), gy)
         np.testing.assert_array_equal(gw.view(np.uint32), gw_whole.view(np.uint32))
-        _conv_backward_against_reference(2, c, k, kernel, h, w, seed=46)
+        _conv_against_reference(2, c, k, (kh, kw), h, w, seed=46)
 
 
 class TestDense:

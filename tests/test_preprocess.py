@@ -387,6 +387,16 @@ class TestPlaneFiles:
                 pp.save_composite(path, pp.RgbComposite(pixels=planes, provenance="x"))
         assert not path.exists()
 
+    def test_band_planes_of_unequal_shape_refused(self, tmp_path):
+        bands = [np.zeros((4, 4), dtype=np.float32) for _ in range(5)]
+        bands[3] = np.zeros((4, 5), dtype=np.float32)
+        path = tmp_path / "bands.vbp"
+        with pytest.raises(ShapeError, match=r"band swir1 shape \(4, 5\) != \(4, 4\)$"):
+            pp.save_band_planes(path, pp.BandPatch(
+                *bands, sensor=pp.Sensor.SYNTHETIC, center_lat=0.0,
+                center_lon=0.0, acquired=datetime.date(2019, 6, 22)))
+        assert not path.exists()
+
     def test_composite_of_wrong_plane_count_refused(self, tmp_path):
         path = tmp_path / "comp.vrc"
         with pytest.raises(ShapeError, match=r"expected \(3, H, W\) planes, got \(2, 4, 4\)"):
