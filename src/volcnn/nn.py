@@ -7,6 +7,13 @@ contiguous memory.  Composites are stored (C, H, W); a caller transposes
 once, at the model input, and never again.  Weights keep their canonical
 layouts: conv (out, in, kh, kw), dense (out, in).
 
+A layer's parameter arrays are its only state.  Constructors make float32
+arrays (3x3 for a conv); another kernel or precision is an assigned array,
+as loading trained weights does.  Each layer reads its shapes from those
+arrays at use and raises ShapeError, naming both shapes, where the input
+or the arrays disagree.  Conv and batchnorm compute in the input's dtype,
+as relu, the pool, gap and sigmoid do; dense follows numpy's promotion.
+
 Convolution is stride (1, 1) with "same" zero padding and is evaluated as
 one GEMM per band of output rows over an im2col (patch) matrix.  Each
 patch-matrix row covers p adjacent output pixels of one image row, and its
@@ -19,9 +26,12 @@ floats long, and the GEMM writes rows only K wide.  A wider p costs
 (p+kw-1)/kw times the multiply-adds per pixel, and it copies (p+kw-1)/(p*kw)
 times the patch columns.
 
-p is 4 below 8 input channels, 2 below 32, else 1, halved until it divides
-W (_block_width).  Measured with one BLAS thread on a 2-vCPU host, median
-ms: the forward at batch 1 (bias add included), and grad_w at batch 4:
+p follows the smaller of the correlation's input and output channel
+counts: 4 below 8, 2 below 32, else 1, halved until it divides W
+(_block_width).  Every forward of both nets writes at least as many
+channels as it reads, so there the count is the input's.  Measured with
+one BLAS thread on a 2-vCPU host, median ms: the forward at batch 1 (bias
+add included), and grad_w at batch 4:
 
                      forward, p =            grad_w, p =
     in->out @ size   1     2     4     8     1      2      4      8
@@ -39,11 +49,13 @@ so there is nothing for a caller to choose.
 
 The backward pass reuses that path.  The gradient w.r.t. the input is the
 same-padded correlation of grad_out with the kernel flipped in both spatial
-axes and its in/out channels swapped; p follows the same rule on grad_out's
-channels.  The gradient w.r.t. the weights is the input's blocked patch
-matrix, transposed, times grad_out as (H*W/p, p*K): pixel q of a patch row
-read window columns q..q+kw-1, so its diagonal block of the product holds
-the (kh, kw, C, K) gradient of those pixels, and the p blocks are summed.
+axes and its in/out channels swapped; p follows the same rule.  The full
+net's b1 (16 -> 32) grad-input reads 32 channels and writes 16, so it runs
+at p = 2: 73.9 ms against 87.1 at p = 1 (N = 4 at 256, median of 7).  The
+gradient w.r.t. the weights is the input's blocked patch matrix,
+transposed, times grad_out as (H*W/p, p*K): pixel q of a patch row read
+window columns q..q+kw-1, so its diagonal block of the product holds the
+(kh, kw, C, K) gradient of those pixels, and the p blocks are summed.
 That sum changes only the summation order against p = 1.
 
 Batchnorm applies each per-channel vector, tiled W times, to the
@@ -70,7 +82,7 @@ from .errors import (
 from .tensor import DEFAULT_DTYPE, RngStream
 
 BCE_CLAMP = 1e-7
-# Byte budget of one im2col band in Conv2d._correlate.  A whole-image patch
+# Byte budget of one im2col band in _correlate.  A whole-image patch
 # matrix per call (28 MB at 512x512x3) left a pruned-net request's peak RSS
 # varying by up to 23 MB from run to run; few-MB bands keep it within 3 MB.
 _BAND_BYTES = 1 << 22
@@ -92,9 +104,10 @@ def _rows(x):
 
 
 def _block_width(channels, width):
-    """Output pixels per patch-matrix row of a correlation over `channels`
-    input channels and rows `width` pixels wide: 4 below 8 channels, 2 below
-    32, else 1, halved until it divides the width."""
+    """Output pixels per patch-matrix row of a correlation over rows `width`
+    pixels wide, where `channels` is the smaller of its input and output
+    channel counts: 4 below 8, 2 below 32, else 1, halved until it divides
+    the width."""
     p = 4 if channels < 8 else 2 if channels < 32 else 1
     while width % p:
         p //= 2
@@ -115,93 +128,99 @@ def _gemm_weights(w, p):
     return wide.reshape(p * k_out, -1).T
 
 
+def _im2col(img, r0, r1, p, kh, kw):
+    """Same-padded patch matrix of rows r0:r1 of one (H, W, C) image for a
+    kh x kw kernel, with p output pixels per row: ((r1-r0)*W/p,
+    kh*(p+kw-1)*C), row (r, j) holding the window of pixels
+    (r, j*p .. j*p+p-1), columns in (kh, p+kw-1, c) order."""
+    ph, pw = kh // 2, kw // 2
+    H, W, C = img.shape
+    lo, hi = max(r0 - ph, 0), min(r1 + ph, H)
+    band = np.pad(img[lo:hi], ((lo - r0 + ph, r1 + ph - hi), (pw, pw), (0, 0)))
+    # (r1-r0, W/p, C, kh, p+kw-1)
+    win = sliding_window_view(band, (kh, p + kw - 1), axis=(0, 1))[:, ::p]
+    return win.transpose(0, 1, 3, 4, 2).reshape((r1 - r0) * (W // p), -1)
+
+
+def _correlate(x, w, bias=None):
+    """Same-padded correlation of (N, H, W, C) x with the (K, C, kh, kw)
+    kernel w, plus bias if given, in x's dtype; one GEMM per band of output
+    rows whose patch matrix fits _BAND_BYTES.  The GEMM writes
+    (rows*W/p, p*K), which is the band's own NHWC memory."""
+    N, H, W, C = x.shape
+    K, _, kh, kw = w.shape
+    p = _block_width(min(C, K), W)
+    wg = _gemm_weights(w, p)
+    rows = max(1, _BAND_BYTES // (W // p * wg.shape[0] * x.dtype.itemsize))
+    tiled_bias = None if bias is None else np.tile(bias, W)
+    y = np.empty((N, H, W, K), dtype=x.dtype)
+    for n in range(N):
+        for r0 in range(0, H, rows):
+            r1 = min(r0 + rows, H)
+            out = y[n, r0:r1].reshape(r1 - r0, W * K)
+            np.matmul(_im2col(x[n], r0, r1, p, kh, kw), wg,
+                      out=out.reshape(-1, p * K))
+            if tiled_bias is not None:
+                out += tiled_bias
+    return y
+
+
+def _he_init(layer, rng: RngStream):
+    """He-normal weights with fan-in weights[0].size, zero bias; the shape
+    and dtype stay the weights'."""
+    w = layer.weights
+    std = np.sqrt(2.0 / w[0].size)
+    layer.weights = (rng.gaussian(w.size).reshape(w.shape) * std).astype(w.dtype)
+    layer.bias = np.zeros(w.shape[0], dtype=w.dtype)
+
+
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
 
 
 class Conv2d:
-    """3x3-style convolution, stride (1, 1), "same" zero padding.
+    """Convolution, stride (1, 1), "same" zero padding.
 
-    weights: (out_channels, in_channels, kh, kw); bias: (out_channels,).
+    Its state is weights (out, in, kh, kw), with odd kh and kw, and bias
+    (out,); it computes in the input's dtype.
     """
 
-    def __init__(self, in_channels, out_channels, kernel=(3, 3), dtype=DEFAULT_DTYPE):
-        kh, kw = kernel
-        if kh % 2 != 1 or kw % 2 != 1:
-            raise InvalidParameterError("kernel dims must be odd for same padding")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel = (kh, kw)
-        self.dtype = np.dtype(dtype)
-        self.weights = np.zeros((out_channels, in_channels, kh, kw), dtype=dtype)
-        self.bias = np.zeros(out_channels, dtype=dtype)
+    def __init__(self, in_channels, out_channels):
+        self.weights = np.zeros((out_channels, in_channels, 3, 3), dtype=DEFAULT_DTYPE)
+        self.bias = np.zeros(out_channels, dtype=DEFAULT_DTYPE)
 
-    def init_params(self, rng: RngStream):
-        """He-normal weights, zero bias."""
-        fan_in = self.in_channels * self.kernel[0] * self.kernel[1]
-        std = np.sqrt(2.0 / fan_in)
-        n = self.weights.size
-        self.weights = (rng.gaussian(n).reshape(self.weights.shape) * std).astype(self.dtype)
-        self.bias = np.zeros(self.out_channels, dtype=self.dtype)
+    init_params = _he_init
 
-    def _im2col(self, img, r0, r1, p):
-        """Same-padded patch matrix of rows r0:r1 of one (H, W, C) image, with
-        p output pixels per row: ((r1-r0)*W/p, kh*(p+kw-1)*C), row (r, j)
-        holding the window of pixels (r, j*p .. j*p+p-1), columns in
-        (kh, p+kw-1, c) order."""
-        kh, kw = self.kernel
-        ph, pw = kh // 2, kw // 2
-        H, W, C = img.shape
-        lo, hi = max(r0 - ph, 0), min(r1 + ph, H)
-        band = np.pad(img[lo:hi], ((lo - r0 + ph, r1 + ph - hi), (pw, pw), (0, 0)))
-        # (r1-r0, W/p, C, kh, p+kw-1)
-        win = sliding_window_view(band, (kh, p + kw - 1), axis=(0, 1))[:, ::p]
-        return win.transpose(0, 1, 3, 4, 2).reshape((r1 - r0) * (W // p), -1)
-
-    def _correlate(self, x, w, bias=None):
-        """Same-padded correlation of (N, H, W, C) x with the (K, C, kh, kw)
-        kernel w, plus bias if given; one GEMM per band of output rows whose
-        patch matrix fits _BAND_BYTES.  The GEMM writes (rows*W/p, p*K),
-        which is the band's own NHWC memory."""
-        N, H, W, C = x.shape
-        K = w.shape[0]
-        p = _block_width(C, W)
-        wg = _gemm_weights(w, p)
-        rows = max(1, _BAND_BYTES // (W // p * wg.shape[0] * self.dtype.itemsize))
-        tiled_bias = None if bias is None else np.tile(bias, W)
-        y = np.empty((N, H, W, K), dtype=self.dtype)
-        for n in range(N):
-            for r0 in range(0, H, rows):
-                r1 = min(r0 + rows, H)
-                out = y[n, r0:r1].reshape(r1 - r0, W * K)
-                np.matmul(self._im2col(x[n], r0, r1, p), wg,
-                          out=out.reshape(-1, p * K))
-                if tiled_bias is not None:
-                    out += tiled_bias
-        return y
+    def _check(self, x):
+        """(N, H, W, C) of x; ShapeError unless x, weights and bias fit one conv."""
+        shape = _nhwc(x.shape)
+        w, b = self.weights.shape, self.bias.shape
+        if (len(w) != 4 or not w[2] % 2 == w[3] % 2 == 1 or b != w[:1]
+                or shape[3] != w[1]):
+            raise ShapeError(f"input {x.shape} does not fit weights {w} "
+                             f"(odd kh, kw) and bias {b}")
+        return shape
 
     def forward_nhwc(self, x):
         """Same-padded cross-correlation plus bias on (N, H, W, C) input."""
-        _, _, _, C = _nhwc(x.shape)
-        if C != self.in_channels:
-            raise ShapeError(f"expected {self.in_channels} input channels, got {C}")
-        return self._correlate(x, self.weights, self.bias)
+        self._check(x)
+        return _correlate(x, self.weights, self.bias)
 
     def backward_nhwc(self, x, grad_out, need_grad_input=True):
         """Gradients of forward_nhwc: (grad_input or None, grad_weights, grad_bias)."""
-        N, H, W, C = _nhwc(x.shape)
-        K = self.out_channels
-        if C != self.in_channels or grad_out.shape != (N, H, W, K):
+        N, H, W, C = self._check(x)
+        K, _, kh, kw = self.weights.shape
+        if grad_out.shape != (N, H, W, K):
             raise ShapeError(f"grad_out {grad_out.shape} does not match input "
-                             f"{x.shape} through a {C}->{K} conv")
-        kh, kw = self.kernel
+                             f"{x.shape} through weights {self.weights.shape}")
         p = _block_width(C, W)
-        g = np.zeros((kh * (p + kw - 1) * C, p * K), dtype=self.dtype)
-        grad_b = np.einsum("nhwc->c", grad_out, dtype=np.float64).astype(self.dtype)
+        g = np.zeros((kh * (p + kw - 1) * C, p * K), dtype=x.dtype)
+        grad_b = np.einsum("nhwc->c", grad_out, dtype=np.float64).astype(x.dtype)
         # whole images, not bands: grad_w's summation order ignores _BAND_BYTES
         for n in range(N):
-            g += self._im2col(x[n], 0, H, p).T @ grad_out[n].reshape(H * W // p, p * K)
+            patches = _im2col(x[n], 0, H, p, kh, kw)
+            g += patches.T @ grad_out[n].reshape(H * W // p, p * K)
         # pixel q of a patch row read window columns q..q+kw-1: fold the p
         # diagonal blocks back to (kh, kw, C, K), then to (out, in, kh, kw)
         g = g.reshape(kh, p + kw - 1, C, p, K)
@@ -212,7 +231,7 @@ class Conv2d:
         grad_x = None
         if need_grad_input:
             flipped = self.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            grad_x = self._correlate(grad_out, flipped)
+            grad_x = _correlate(grad_out, flipped)
         return grad_x, grad_w, grad_b
 
 
@@ -222,53 +241,59 @@ class Conv2d:
 
 
 class BatchNorm2d:
-    """Per-channel batch normalization over (N, H, W)."""
+    """Per-channel batch normalization over (N, H, W).
+
+    Its state is gamma, beta, running_mean and running_var, each (C,); it
+    computes in the input's dtype.
+    """
 
     momentum = 0.99
     epsilon = 1e-3
 
-    def __init__(self, channels, dtype=DEFAULT_DTYPE):
-        self.channels = channels
-        self.dtype = np.dtype(dtype)
-        self.gamma = np.ones(channels, dtype=dtype)
-        self.beta = np.zeros(channels, dtype=dtype)
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+    def __init__(self, channels):
+        self.gamma = np.ones(channels, dtype=DEFAULT_DTYPE)
+        self.beta = np.zeros(channels, dtype=DEFAULT_DTYPE)
+        self.running_mean = np.zeros(channels, dtype=DEFAULT_DTYPE)
+        self.running_var = np.ones(channels, dtype=DEFAULT_DTYPE)
 
-    def _check_channels(self, x):
-        if _nhwc(x.shape)[-1] != self.channels:
-            raise ShapeError(f"expected {self.channels} channels, got {x.shape[-1]}")
+    def _check(self, x):
+        """ShapeError unless x's channels, beta and the running stats fit gamma."""
+        c = self.gamma.shape
+        stats = (self.beta, self.running_mean, self.running_var)
+        if _nhwc(x.shape)[3:] != c or any(a.shape != c for a in stats):
+            raise ShapeError(f"input {x.shape} does not fit gamma {c}, beta, running "
+                             f"mean and var {tuple(a.shape for a in stats)}")
 
     def forward_train_nhwc(self, x):
         """Normalize by batch statistics; returns (y, cache), updates running stats."""
-        self._check_channels(x)
+        self._check(x)
         N, H, W, _ = x.shape
         if N < 2:
             raise DegenerateBatchError("train-mode batchnorm needs batch size >= 2")
         cnt = N * H * W
         # Centre before squaring: E[x^2] - E[x]^2 cancels in float32 once the
         # channel mean is large against its spread.
-        mean = (np.einsum("nhwc->c", x, dtype=np.float64) / cnt).astype(self.dtype)
-        rows = np.subtract(_rows(x), np.tile(mean, W), dtype=self.dtype)
+        mean = (np.einsum("nhwc->c", x, dtype=np.float64) / cnt).astype(x.dtype)
+        rows = np.subtract(_rows(x), np.tile(mean, W), dtype=x.dtype)
         y = rows.reshape(x.shape)
         var = np.einsum("nhwc,nhwc->c", y, y) / cnt
-        inv = (1.0 / np.sqrt(var + self.epsilon)).astype(self.dtype)
+        inv = (1.0 / np.sqrt(var + self.epsilon)).astype(x.dtype)
         rows *= np.tile(self.gamma * inv, W)
         rows += np.tile(self.beta, W)
-        m = self.dtype.type(self.momentum)
+        m = x.dtype.type(self.momentum)
         self.running_mean = m * self.running_mean + (1 - m) * mean
-        self.running_var = m * self.running_var + (1 - m) * var.astype(self.dtype)
+        self.running_var = m * self.running_var + (1 - m) * var.astype(x.dtype)
         cache = (x, mean, inv)
         return y, cache
 
     def forward_infer_nhwc(self, x):
         """Normalize by the running statistics."""
-        self._check_channels(x)
+        self._check(x)
         W = x.shape[2]
-        inv = (1.0 / np.sqrt(self.running_var + self.epsilon)).astype(self.dtype)
+        inv = (1.0 / np.sqrt(self.running_var + self.epsilon)).astype(x.dtype)
         a = self.gamma * inv
         b = self.beta - self.running_mean * a
-        y = np.multiply(_rows(x), np.tile(a, W), dtype=self.dtype)
+        y = np.multiply(_rows(x), np.tile(a, W), dtype=x.dtype)
         y += np.tile(b, W)
         return y.reshape(x.shape)
 
@@ -279,17 +304,17 @@ class BatchNorm2d:
         grad_beta = np.einsum("nhwc->c", grad_out, dtype=np.float64)
         # Centre first: sum(gy * x) - mean * sum(gy) cancels in float32 once
         # the channel mean is large against its spread.
-        d = np.subtract(_rows(x), np.tile(mean, W), dtype=self.dtype)
+        d = np.subtract(_rows(x), np.tile(mean, W), dtype=x.dtype)
         grad_gamma = (np.einsum("nhwc,nhwc->c", grad_out, d.reshape(x.shape))
-                      * inv).astype(self.dtype)
-        grad_beta = grad_beta.astype(self.dtype)
+                      * inv).astype(x.dtype)
+        grad_beta = grad_beta.astype(x.dtype)
         # grad_x = A*gy + B*(x - mean) + C per channel, from the batch-statistics
         # chain rule
         A = self.gamma * inv
-        B = (-A * inv * grad_gamma / cnt).astype(self.dtype)
-        C = (-A * grad_beta / cnt).astype(self.dtype)
+        B = (-A * inv * grad_gamma / cnt).astype(x.dtype)
+        C = (-A * grad_beta / cnt).astype(x.dtype)
         d *= np.tile(B, W)
-        gx = np.multiply(_rows(grad_out), np.tile(A, W), dtype=self.dtype)
+        gx = np.multiply(_rows(grad_out), np.tile(A, W), dtype=x.dtype)
         gx += d
         gx += np.tile(C, W)
         return gx.reshape(x.shape), grad_gamma, grad_beta
@@ -301,25 +326,21 @@ class BatchNorm2d:
 
 
 class Dense:
-    """Fully connected layer: y = x W^T + b."""
+    """Fully connected layer: y = x W^T + b.
 
-    def __init__(self, in_features, out_features, dtype=DEFAULT_DTYPE):
-        self.in_features = in_features
-        self.out_features = out_features
-        self.dtype = np.dtype(dtype)
-        self.weights = np.zeros((out_features, in_features), dtype=dtype)
-        self.bias = np.zeros(out_features, dtype=dtype)
+    Its state is weights (out, in) and bias (out,); numpy promotes x with them.
+    """
 
-    def init_params(self, rng: RngStream):
-        std = np.sqrt(2.0 / self.in_features)
-        self.weights = (rng.gaussian(self.weights.size)
-                        .reshape(self.weights.shape) * std).astype(self.dtype)
-        self.bias = np.zeros(self.out_features, dtype=self.dtype)
+    def __init__(self, in_features, out_features):
+        self.weights = np.zeros((out_features, in_features), dtype=DEFAULT_DTYPE)
+        self.bias = np.zeros(out_features, dtype=DEFAULT_DTYPE)
+
+    init_params = _he_init
 
     def _check_input(self, x):
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ShapeError(
-                f"expected (N, {self.in_features}) input, got {x.shape}")
+        w, b = self.weights.shape, self.bias.shape
+        if x.ndim != 2 or len(w) != 2 or x.shape[1] != w[1] or b != w[:1]:
+            raise ShapeError(f"input {x.shape} does not fit weights {w} and bias {b}")
 
     def forward(self, x):
         self._check_input(x)
@@ -327,8 +348,9 @@ class Dense:
 
     def backward(self, x, grad_out):
         self._check_input(x)
-        if grad_out.shape != (x.shape[0], self.out_features):
-            raise ShapeError("grad_out shape does not match layer output")
+        if grad_out.shape != (x.shape[0], self.weights.shape[0]):
+            raise ShapeError(f"grad_out {grad_out.shape} does not match input "
+                             f"{x.shape} through weights {self.weights.shape}")
         grad_w = grad_out.T @ x
         grad_b = grad_out.sum(axis=0)
         grad_x = grad_out @ self.weights
@@ -487,8 +509,9 @@ class Adam:
 
     def step(self, params, grads):
         """Update params in place from grads (lists aligned with register())."""
-        if len(params) != len(self.first_moment):
-            raise ShapeError("parameter list does not match registered moments")
+        if not len(params) == len(grads) == len(self.first_moment):
+            raise ShapeError(f"{len(params)} params and {len(grads)} grads for "
+                             f"{len(self.first_moment)} registered moments")
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2

@@ -1,9 +1,9 @@
 """Working precision and deterministic randomness.
 
 Tensors are plain numpy arrays in row-major (C) order.  32-bit floats are
-the working precision for training and inference; 64-bit mode exists for
-finite-difference gradient checks and is selected per call site via the
-``dtype`` arguments throughout the package.
+the working precision for training and inference; 64-bit arrays serve the
+finite-difference gradient checks.  Layers are built in float32 and take
+64-bit precision from assigned float64 parameter arrays and float64 input.
 
 Randomness comes from ``RngStream``, a counter-based SplitMix64 generator.
 Output ``i`` of a stream is ``mix64(seed + (i + 1) * GOLDEN)``, so the

@@ -28,7 +28,7 @@ def check_conv(seed):
     cout = 1 + int(rng.integers(1, 3)[0])
     hw = 4 + 2 * int(rng.integers(1, 2)[0])
     n = 1 + int(rng.integers(1, 2)[0])
-    layer = nn.Conv2d(cin, cout, dtype=np.float64)
+    layer = nn.Conv2d(cin, cout)
     layer.weights = _gauss(rng, cout, cin, 3, 3) * 0.5
     layer.bias = _gauss(rng, cout) * 0.1
     x = to_nhwc(_gauss(rng, n, cin, hw, hw))
@@ -47,7 +47,7 @@ def check_batchnorm(seed):
     c = 1 + int(rng.integers(1, 3)[0])
     n = 2 + int(rng.integers(1, 2)[0])
     hw = 4
-    layer = nn.BatchNorm2d(c, dtype=np.float64)
+    layer = nn.BatchNorm2d(c)
     layer.gamma = 0.5 + rng.uniform(c)
     layer.beta = _gauss(rng, c) * 0.3
     x = to_nhwc(_gauss(rng, n, c, hw, hw) * 2.0)
@@ -71,7 +71,7 @@ def check_dense(seed):
     fin = 2 + int(rng.integers(1, 5)[0])
     fout = 1 + int(rng.integers(1, 4)[0])
     n = 1 + int(rng.integers(1, 3)[0])
-    layer = nn.Dense(fin, fout, dtype=np.float64)
+    layer = nn.Dense(fin, fout)
     layer.weights = _gauss(rng, fout, fin) * 0.5
     layer.bias = _gauss(rng, fout) * 0.1
     x = _gauss(rng, n, fin)

@@ -14,8 +14,8 @@ from oracles import (adam_scalar_reference, batchnorm_train_backward_reference,
 
 class TestConv2d:
     def test_identity_scale_kernel(self):
-        layer = nn.Conv2d(1, 1, kernel=(1, 1))
-        layer.weights[:] = 2.0
+        layer = nn.Conv2d(1, 1)
+        layer.weights = np.full((1, 1, 1, 1), 2.0, dtype=np.float32)
         x = np.ones((1, 3, 3, 1), dtype=np.float32)
         y = layer.forward_nhwc(x)
         np.testing.assert_allclose(y, 2.0)
@@ -82,7 +82,8 @@ class TestConv2d:
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_grad_bias_is_channel_sum(self):
-        layer = nn.Conv2d(2, 3, dtype=np.float64)
+        layer = nn.Conv2d(2, 3)
+        layer.weights = np.zeros((3, 2, 3, 3))
         layer.init_params(RngStream(7))
         x = to_nhwc(RngStream(8).gaussian(2 * 2 * 4 * 4).reshape(2, 2, 4, 4))
         gy = to_nhwc(RngStream(9).gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4))
@@ -173,7 +174,8 @@ class TestBatchNorm2d:
         assert not gx.any() and not gg.any() and not gb.any()
 
     def test_grad_beta_is_channel_sum(self):
-        layer = nn.BatchNorm2d(3, dtype=np.float64)
+        layer = nn.BatchNorm2d(3)
+        layer.gamma, layer.beta = np.ones(3), np.zeros(3)
         x = to_nhwc(RngStream(5).gaussian(4 * 3 * 4 * 4).reshape(4, 3, 4, 4))
         _, cache = layer.forward_train_nhwc(x)
         gy = to_nhwc(RngStream(6).gaussian(x.size).reshape(4, 3, 4, 4))
@@ -332,18 +334,23 @@ class TestMaxPoolOracle:
 
 
 def _conv_against_reference(n, c, k, kernel, h, w, seed):
-    """Float32 forward_nhwc and backward_nhwc against the float64 loop oracles.
+    """A seeded c -> k conv with the given kernel, through _conv_matches_oracles."""
+    layer = nn.Conv2d(c, k)
+    layer.weights = np.zeros((k, c, *kernel), dtype=np.float32)
+    layer.init_params(RngStream(seed))
+    layer.bias = _gauss32(seed + 3, k)
+    _conv_matches_oracles(layer, _gauss32(seed + 1, n, c, h, w), _gauss32(seed + 2, n, k, h, w))
+
+
+def _conv_matches_oracles(layer, x, gy):
+    """Float32 forward_nhwc and backward_nhwc on NCHW x and gy against the
+    float64 loop oracles.
 
     The output and each gradient may be off by 1e-5 of its largest
     magnitude: float32 sums of at most a few hundred products stay far
     inside that, and a kernel flipped on the wrong axis, channels swapped or
     a patch-matrix block read at the wrong offset miss it by orders.
     """
-    layer = nn.Conv2d(c, k, kernel=kernel)
-    layer.init_params(RngStream(seed))
-    layer.bias = _gauss32(seed + 3, k)
-    x = _gauss32(seed + 1, n, c, h, w)
-    gy = _gauss32(seed + 2, n, k, h, w)
     y = layer.forward_nhwc(to_nhwc(x))
     gx, gw, gb = layer.backward_nhwc(to_nhwc(x), to_nhwc(gy))
     want = (conv2d_reference(x, layer.weights, layer.bias),
@@ -369,9 +376,9 @@ class TestConvBackwardOracle:
 
 class TestConvPixelBlocks:
     """A patch-matrix row covers p adjacent output pixels; p comes from the
-    input channels and the width.  Each case runs forward, grad_w and the
-    grad-input correlation (which reads k = 2 channels: p = 4, or 1 at
-    w = 5) against the loop oracles."""
+    smaller of a correlation's channel counts and the width.  Each case runs
+    forward, grad_w and the grad-input correlation (which writes k = 2
+    channels: p = 4, or 1 at w = 5) against the loop oracles."""
 
     @pytest.mark.parametrize("channels, width, p", [
         (1, 512, 4), (3, 512, 4), (7, 512, 4), (8, 256, 2), (16, 256, 2),
@@ -380,11 +387,106 @@ class TestConvPixelBlocks:
     def test_block_width_rule(self, channels, width, p):
         assert nn._block_width(channels, width) == p
 
+    def test_p_follows_the_smaller_channel_count(self, monkeypatch):
+        # a 16 -> 32 conv: the forward reads 16 channels, and the grad-input
+        # correlation reads 32 and writes 16, so both run at p = 2
+        seen = []
+        gemm_weights = nn._gemm_weights
+        monkeypatch.setattr(nn, "_gemm_weights",
+                            lambda w, p: seen.append((w.shape, p)) or gemm_weights(w, p))
+        layer = nn.Conv2d(16, 32)
+        x = np.zeros((1, 4, 8, 16), dtype=np.float32)
+        layer.backward_nhwc(x, layer.forward_nhwc(x))
+        assert seen == [((32, 16, 3, 3), 2), ((16, 32, 3, 3), 2)]
+
     @pytest.mark.parametrize("kernel", [(1, 1), (3, 5), (5, 3)])
     @pytest.mark.parametrize("w", [4, 8, 12, 5])  # 5: p falls back to 1
     @pytest.mark.parametrize("c", [1, 3, 5, 7, 16])
     def test_matches_reference(self, c, w, kernel):
         _conv_against_reference(2, c, 2, kernel, 3, w, seed=50)
+
+
+class TestLayersAreTheirArrays:
+    """A layer's shapes come from its assigned arrays, whatever counts it was
+    built with, and its precision from the input."""
+
+    def test_conv_follows_assigned_kernel_and_channels(self):
+        layer = nn.Conv2d(2, 3)
+        layer.weights = 0.3 * _gauss32(70, 4, 2, 5, 3)
+        layer.bias = _gauss32(71, 4)
+        _conv_matches_oracles(layer, _gauss32(72, 2, 2, 6, 7), _gauss32(73, 2, 4, 6, 7))
+
+    def test_dense_follows_assigned_weights(self):
+        layer = nn.Dense(4, 2)
+        layer.weights = _gauss32(74, 2, 6)
+        x = _gauss32(75, 3, 6)
+        np.testing.assert_allclose(layer.forward(x), x @ layer.weights.T, rtol=1e-6)
+        gx, gw, gb = layer.backward(x, np.ones((3, 2), dtype=np.float32))
+        assert (gx.shape, gw.shape, gb.shape) == ((3, 6), (2, 6), (2,))
+
+    def test_batchnorm_follows_assigned_channels(self):
+        layer = nn.BatchNorm2d(3)
+        layer.gamma, layer.beta = np.full(5, 2.0, np.float32), np.full(5, 3.0, np.float32)
+        layer.running_mean, layer.running_var = np.zeros(5, np.float32), np.ones(5, np.float32)
+        x = 4.0 * _gauss32(76, 4, 3, 3, 5)
+        y, _ = layer.forward_train_nhwc(x)
+        np.testing.assert_allclose(y.mean(axis=(0, 1, 2)), 3.0, atol=1e-5)
+        np.testing.assert_allclose(y.std(axis=(0, 1, 2)), 2.0, rtol=1e-3)
+        assert layer.forward_infer_nhwc(x).shape == x.shape
+
+    @pytest.mark.parametrize("name, shape", [
+        ("weights", (3, 2, 2, 3)),   # even kh
+        ("weights", (3, 2, 3, 4)),   # even kw
+        ("weights", (3, 4, 3, 3)),   # 4 input channels, input has 2
+        ("weights", (3, 2, 9)),      # not 4-d
+        ("bias", (4,)),              # 3 output channels
+    ])
+    def test_conv_mismatch_rejected(self, name, shape):
+        layer = nn.Conv2d(2, 3)
+        setattr(layer, name, np.zeros(shape, dtype=np.float32))
+        x = np.zeros((1, 4, 4, 2), dtype=np.float32)
+        for call in (lambda: layer.forward_nhwc(x),
+                     lambda: layer.backward_nhwc(x, np.zeros((1, 4, 4, 3), np.float32))):
+            with pytest.raises(ShapeError) as err:
+                call()
+            assert str(shape) in str(err.value) and str(x.shape) in str(err.value)
+
+    @pytest.mark.parametrize("name, shape", [("weights", (2, 5)), ("bias", (3,))])
+    def test_dense_mismatch_rejected(self, name, shape):
+        layer = nn.Dense(4, 2)
+        setattr(layer, name, np.zeros(shape, dtype=np.float32))
+        x = np.zeros((3, 4), dtype=np.float32)
+        for call in (lambda: layer.forward(x),
+                     lambda: layer.backward(x, np.zeros((3, 2), np.float32))):
+            with pytest.raises(ShapeError) as err:
+                call()
+            assert str(shape) in str(err.value) and str(x.shape) in str(err.value)
+
+    @pytest.mark.parametrize("name", ["gamma", "beta", "running_mean", "running_var"])
+    def test_batchnorm_mismatch_rejected(self, name):
+        layer = nn.BatchNorm2d(3)
+        setattr(layer, name, np.ones(4, dtype=np.float32))
+        x = np.zeros((2, 2, 2, 3), dtype=np.float32)
+        for call in (layer.forward_train_nhwc, layer.forward_infer_nhwc):
+            with pytest.raises(ShapeError) as err:
+                call(x)
+            assert "(4,)" in str(err.value) and str(x.shape) in str(err.value)
+
+    def test_float32_layers_compute_in_float64_for_float64_input(self):
+        conv = nn.Conv2d(2, 3)
+        conv.init_params(RngStream(77))
+        conv.bias = _gauss32(78, 3)
+        x = RngStream(79).gaussian(2 * 2 * 4 * 4).reshape(2, 2, 4, 4)
+        y = conv.forward_nhwc(to_nhwc(x))
+        gx, gw, gb = conv.backward_nhwc(to_nhwc(x), y)
+        # float64 sums: within 1e-12, where float32 would miss by ~1e-7
+        want = conv2d_reference(x, conv.weights, conv.bias)
+        np.testing.assert_allclose(to_nchw(y), want, rtol=0, atol=1e-12 * np.abs(want).max())
+        bn = nn.BatchNorm2d(3)
+        z, cache = bn.forward_train_nhwc(y)
+        outs = [y, gx, gw, gb, z, *bn.backward_nhwc(cache, z), bn.forward_infer_nhwc(y),
+                bn.running_mean, bn.running_var]
+        assert [a.dtype for a in outs] == [np.float64] * len(outs)
 
 
 class TestConvRowBands:
@@ -397,7 +499,8 @@ class TestConvRowBands:
         c, k, (kh, kw), h, w = 2, 3, (5, 3), 7, 6
         p = 2  # pixels per patch row: 4 for 2 channels, halved to divide w = 6
         assert nn._block_width(c, w) == p
-        layer = nn.Conv2d(c, k, kernel=(kh, kw))
+        layer = nn.Conv2d(c, k)
+        layer.weights = np.zeros((k, c, kh, kw), dtype=np.float32)
         layer.init_params(RngStream(42))
         layer.bias = _gauss32(43, k)
         x = _gauss32(44, 2, c, h, w)
@@ -515,3 +618,11 @@ class TestAdam:
         opt.register([p])
         with pytest.raises(ShapeError):
             opt.step([p], [np.zeros(4, dtype=np.float32)])
+
+    def test_short_grad_list_rejected(self):
+        # zip would stop at the shorter list and leave q untouched
+        p, q = np.zeros(3, dtype=np.float32), np.zeros(2, dtype=np.float32)
+        opt = nn.Adam()
+        opt.register([p, q])
+        with pytest.raises(ShapeError, match="2 params and 1 grads"):
+            opt.step([p, q], [np.ones(3, dtype=np.float32)])

@@ -20,7 +20,7 @@ def test_backward_matches_finite_differences(name, seed):
 def test_conv_spec_shape_case():
     # 2->3 channels, 3x3 kernel, 6x6 input, 64-bit, h=1e-5
     rng = RngStream(2024)
-    layer = nn.Conv2d(2, 3, dtype=np.float64)
+    layer = nn.Conv2d(2, 3)
     layer.weights = rng.gaussian(3 * 2 * 9).reshape(3, 2, 3, 3) * 0.5
     layer.bias = rng.gaussian(3) * 0.1
     x = to_nhwc(rng.gaussian(1 * 2 * 6 * 6).reshape(1, 2, 6, 6))
