@@ -2,8 +2,9 @@
 
 Five-band preprocessing into SWIR-highlighted RGB composites, flat binary
 patch and composite files, from-scratch numpy CNN layers with Adam,
-labeled manifests with class-balanced batches, and a synthetic scene
-generator.  There is no model file, trainer or inference entry point yet.
+labeled samples with a split derived from their labels and a seed,
+class-balanced batches, and a synthetic scene generator.  There is no
+model file, trainer or inference entry point yet.
 
 Allocator policy: importing the package pins glibc's heap, once, for the
 whole process.  Blocks under 32 MiB come from the heap, and freed heap

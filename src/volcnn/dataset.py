@@ -1,9 +1,10 @@
-"""Labeled manifests, balanced batches, synthetic data.
+"""Labeled samples, derived splits, balanced batches, synthetic data.
 
 A sample on disk is one directory holding ``bands.vbp`` (five-band flat
 binary, see preprocess) and ``meta.json`` (lat, lon, ISO date, label,
-subclass).  Manifests are JSON lines, one sample per line with fields
-path/label/subclass/split.
+subclass).  ``meta.json`` is the one home of a sample's label: the
+train/val/test split is not stored but derived from the labels and a seed
+each time a directory is read.
 
 The synthetic generator stands in for the downloaded satellite imagery at
 desk scale.  It encodes the one physically grounded separator of the real
@@ -36,17 +37,16 @@ SUBCLASS_ERUPTION = "eruption"
 
 PATCH_FILENAME = "bands.vbp"
 META_FILENAME = "meta.json"
-MANIFEST_FILENAME = "manifest.jsonl"
 
 SYNTH_PATCH_SIZE = 256
 
+# train, val, test: floors of the first two per class, the remainder is test
+SPLIT_FRACS = (0.7, 0.1, 0.2)
+
 
 # ---------------------------------------------------------------------------
-# manifest
+# derived split
 # ---------------------------------------------------------------------------
-
-
-SPLITS = ("train", "val", "test")
 
 
 @dataclass(frozen=True)
@@ -58,68 +58,13 @@ class Sample:
 
 
 class DatasetManifest:
-    """Samples with unique paths and splits in SPLITS; load checks both for a
-    file, and build_manifest makes both by construction."""
+    """The samples under one directory, each with its derived split."""
 
     def __init__(self, samples):
         self.samples = list(samples)
 
     def split(self, name):
         return [s for s in self.samples if s.split == name]
-
-    def __len__(self):
-        return len(self.samples)
-
-    def save(self, path):
-        with open(path, "w") as f:
-            for s in self.samples:
-                f.write(json.dumps({"path": s.path, "label": s.label,
-                                    "subclass": s.subclass, "split": s.split},
-                                   sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        """Read a JSONL manifest; a bad row raises CatalogError naming its 1-based line."""
-        samples, seen = [], set()
-        with open(path, "rb") as f:
-            for lineno, line in enumerate(f, start=1):
-                if line.strip():
-                    s = _parse_manifest_row(line, lineno)
-                    if s.path in seen:
-                        raise CatalogError(f"line {lineno}: duplicate path {s.path!r}")
-                    seen.add(s.path)
-                    samples.append(s)
-        return cls(samples)
-
-
-def _parse_record(text, where, keys):
-    """Parse a manifest row or a meta.json into a dict, checking what both
-    share: a JSON object with every key in keys, a label that is the integer
-    0 or 1, string path and subclass. Each CatalogError starts with where."""
-    try:
-        d = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
-        raise CatalogError(f"{where}: malformed JSON: {e}") from None
-    if not isinstance(d, dict):
-        raise CatalogError(f"{where}: expected a JSON object")
-    for key in keys:
-        if key not in d:
-            raise CatalogError(f"{where}: missing key {key!r}")
-    label = d["label"]
-    # bool is an int subclass; a record this module writes never holds one
-    if type(label) is not int or label not in (LABEL_NO_ERUPTION, LABEL_ERUPTION):
-        raise CatalogError(f"{where}: label must be 0 or 1, got {label!r}")
-    for key in ("path", "subclass"):
-        if key in keys and not isinstance(d[key], str):
-            raise CatalogError(f"{where}: {key} must be a string, got {d[key]!r}")
-    return d
-
-
-def _parse_manifest_row(line, lineno):
-    d = _parse_record(line, f"line {lineno}", ("path", "label", "subclass", "split"))
-    if d["split"] not in SPLITS:
-        raise CatalogError(f"line {lineno}: bad split {d['split']!r}")
-    return Sample(d["path"], d["label"], d["subclass"], d["split"])
 
 
 def _shuffled(rng: RngStream, items):
@@ -130,16 +75,14 @@ def _shuffled(rng: RngStream, items):
     return arr
 
 
-def build_manifest(root, split_fracs=(0.7, 0.1, 0.2), seed=0) -> DatasetManifest:
+def build_manifest(root, seed=0) -> DatasetManifest:
     """Deterministic stratified split over the sample directories under root.
 
-    Per label: floor(train_frac * n) train, floor(val_frac * n) val, the
-    remainder test, over a seeded shuffle of the path-sorted samples.
+    Per label: floor(0.7 * n) train, floor(0.1 * n) val (SPLIT_FRACS), the
+    remainder test, over a seeded shuffle of the path-sorted samples.  The
+    same (root, seed) always gives the same split.
     """
-    ft, fv, fe = split_fracs
-    if min(ft, fv, fe) <= 0 or abs(ft + fv + fe - 1.0) > 1e-9:
-        raise InvalidParameterError(
-            f"split fractions must be positive and sum to 1, got {split_fracs}")
+    ft, fv, _ = SPLIT_FRACS
     entries = []
     for name in sorted(os.listdir(root)):
         d = os.path.join(root, name)
@@ -376,7 +319,7 @@ def synth_generate(n_per_class, seed, out_dir,
 
     No-eruption samples cycle through the five negative subclasses.
     Deterministic: the same (n_per_class, seed) yields byte-identical files.
-    Returns the default stratified manifest over the generated directory.
+    Returns build_manifest(out_dir, seed).
     """
     if n_per_class < 1:
         raise InvalidParameterError("n_per_class must be >= 1")
@@ -414,7 +357,21 @@ def _read_meta(sample_dir):
         raise CatalogError(f"{path}: missing file") from None
     except OSError as e:
         raise CatalogError(f"{path}: cannot read: {e.strerror}") from None
-    meta = _parse_record(data, path, ("lat", "lon", "date", "label", "subclass"))
+    try:
+        meta = json.loads(data)
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise CatalogError(f"{path}: malformed JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise CatalogError(f"{path}: expected a JSON object")
+    for key in ("lat", "lon", "date", "label", "subclass"):
+        if key not in meta:
+            raise CatalogError(f"{path}: missing key {key!r}")
+    label = meta["label"]
+    # bool is an int subclass; a meta.json this module writes never holds one
+    if type(label) is not int or label not in (LABEL_NO_ERUPTION, LABEL_ERUPTION):
+        raise CatalogError(f"{path}: label must be 0 or 1, got {label!r}")
+    if not isinstance(meta["subclass"], str):
+        raise CatalogError(f"{path}: subclass must be a string, got {meta['subclass']!r}")
     for key in ("lat", "lon"):
         # bool is an int subclass, and json reads NaN and Infinity
         if type(meta[key]) not in (int, float) or not math.isfinite(meta[key]):
@@ -423,7 +380,7 @@ def _read_meta(sample_dir):
         date = datetime.date.fromisoformat(meta["date"])
     except (TypeError, ValueError):
         raise CatalogError(f"{path}: date must be an ISO date, got {meta['date']!r}") from None
-    return float(meta["lat"]), float(meta["lon"]), date, meta["label"], meta["subclass"]
+    return float(meta["lat"]), float(meta["lon"]), date, label, meta["subclass"]
 
 
 def load_sample(sample: Sample):

@@ -26,8 +26,8 @@ class ProfileError(VolcError):
 
 
 class CatalogError(VolcError):
-    """A manifest row failed to parse, or a sample's meta.json is missing or
-    malformed; the message carries the line number, or the file and the key."""
+    """A sample's meta.json is missing, unreadable or malformed; the message
+    names the file and the key."""
 
 
 class MissingClassError(VolcError):

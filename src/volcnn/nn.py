@@ -299,6 +299,8 @@ class BatchNorm2d:
 
     def backward_nhwc(self, cache, grad_out):
         x, mean, inv = cache
+        if grad_out.shape != x.shape:
+            raise ShapeError(f"grad_out {grad_out.shape} does not match input {x.shape}")
         N, H, W, _ = x.shape
         cnt = N * H * W
         grad_beta = np.einsum("nhwc->c", grad_out, dtype=np.float64)
@@ -394,6 +396,8 @@ def relu(x):
 
 def relu_backward(y, grad_out):
     """Backward through relu given its output y (y > 0 iff input was > 0)."""
+    if grad_out.shape != y.shape:
+        raise ShapeError(f"grad_out {grad_out.shape} does not match output {y.shape}")
     return grad_out * (y > 0)
 
 

@@ -117,15 +117,6 @@ class RgbComposite:
     pixels: np.ndarray
     provenance: str
 
-    def validate(self):
-        if self.pixels.shape != (3,) + COMPOSITE_SIZE:
-            raise ShapeError(f"composite shape {self.pixels.shape}")
-        if not np.all(np.isfinite(self.pixels)):
-            raise ShapeError("composite contains non-finite values")
-        if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
-            raise ShapeError("composite values outside [0, 1]")
-        return self
-
 
 def normalize_sensor(raw: BandPatch, profile: SensorProfile) -> BandPatch:
     """Raw digital numbers -> reflectance via the profile affine, clipped to [0, 1]."""

@@ -92,6 +92,15 @@ class TestConv2d:
 
 
 class TestBatchNorm2d:
+    @pytest.mark.parametrize("gy_shape", [(2, 4, 4, 4),   # channels
+                                          (1, 4, 4, 3)])  # batch
+    def test_backward_grad_out_mismatch_rejected(self, gy_shape):
+        layer = nn.BatchNorm2d(3)
+        _, cache = layer.forward_train_nhwc(np.zeros((2, 4, 4, 3), dtype=np.float32))
+        with pytest.raises(ShapeError) as err:
+            layer.backward_nhwc(cache, np.zeros(gy_shape, dtype=np.float32))
+        assert str(gy_shape) in str(err.value) and "(2, 4, 4, 3)" in str(err.value)
+
     def test_infer_identity_normalization(self):
         layer = nn.BatchNorm2d(3)
         x = to_nhwc(RngStream(1).gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
@@ -260,6 +269,14 @@ class TestStatelessOps:
         _, cache = nn.maxpool2x2_forward_nhwc(x)
         with pytest.raises(ShapeError):
             nn.maxpool2x2_backward_nhwc(cache, np.zeros((1, 2, 2, 3), dtype=np.float32))
+
+    @pytest.mark.parametrize("gy_shape", [(2, 4, 4, 4),   # channels
+                                          (1, 4, 4, 3)])  # batch, which broadcasts
+    def test_relu_backward_shape_mismatch_rejected(self, gy_shape):
+        y = nn.relu(np.ones((2, 4, 4, 3), dtype=np.float32))
+        with pytest.raises(ShapeError) as err:
+            nn.relu_backward(y, np.zeros(gy_shape, dtype=np.float32))
+        assert str(gy_shape) in str(err.value) and "(2, 4, 4, 3)" in str(err.value)
 
     def test_global_avg_pool_shape_and_constant(self):
         x = np.full((1, 4, 4, 512), 0.25, dtype=np.float32)
