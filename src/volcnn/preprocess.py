@@ -3,7 +3,9 @@
 The pipeline is: sensor normalization (raw digital numbers to reflectance
 in [0, 1]), SWIR-into-RGB band fusion so hot surfaces stay visible after
 the lava darkens, bicubic resize to 512x512, and training-time
-augmentation (dihedral-4 symmetries plus white Gaussian noise).
+augmentation (dihedral-4 symmetries plus white Gaussian noise).  The noise
+is drawn in float32, two normals per raw 64-bit output of the stream
+(``RngStream.gaussian32``), and scaled by sigma in float32.
 
 Band fusion, with the fixed scale factor ALPHA = 2.5 on every visible
 channel:
@@ -211,13 +213,18 @@ def bicubic_resize(image: np.ndarray, target=COMPOSITE_SIZE) -> np.ndarray:
 
 
 def add_gaussian_noise(image: np.ndarray, sigma: float, rng: RngStream) -> np.ndarray:
-    """Independent N(0, sigma^2) per element, result clipped to [0, 1]."""
-    if sigma < 0:
-        raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
+    """Independent N(0, sigma^2) per element, result clipped to [0, 1].
+
+    The normals are float32 draws (RngStream.gaussian32), one raw 64-bit
+    output per two elements, scaled by sigma in float32.
+    """
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return image.copy()
-    noise = rng.gaussian(image.size).reshape(image.shape) * sigma
-    out = image + noise.astype(image.dtype)
+    noise = rng.gaussian32(image.size).reshape(image.shape)
+    noise *= np.float32(sigma)
+    out = image + noise.astype(image.dtype, copy=False)
     return np.clip(out, 0.0, 1.0, out=out)
 
 

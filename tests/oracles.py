@@ -219,3 +219,25 @@ def adam_scalar_reference(x0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e
         vh = v / (1 - beta2 ** t)
         x = x - lr * mh / (vh ** 0.5 + eps)
     return x
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64_reference(seed, n):
+    """First n outputs of SplitMix64 (Steele, Lea and Flood 2014) from a 64-bit
+    seed, as python ints: the state steps by the golden gamma, and each new
+    state goes through the xor-shift-multiply finaliser, all mod 2**64."""
+    state, out = seed & _MASK64, []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def uniform_reference(seed, n):
+    """Doubles in [0, 1) from the top 53 bits of each SplitMix64 output."""
+    return [(z >> 11) / 2.0 ** 53 for z in splitmix64_reference(seed, n)]

@@ -289,8 +289,16 @@ class TestStatelessOps:
             nn.gap_forward_nhwc(np.zeros((4, 4, 3), dtype=np.float32))
 
     def test_global_avg_pool_backward_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError) as err:
             nn.gap_backward_nhwc((2, 4, 4, 3), np.zeros((2, 4), dtype=np.float32))
+        assert "(2, 4)" in str(err.value) and "(2, 3)" in str(err.value)
+
+    def test_sigmoid_backward_shape_mismatch_rejected(self):
+        # a (1, 1) gradient used to broadcast against the (2, 1) output
+        y = nn.sigmoid(np.zeros((2, 1), dtype=np.float32))
+        with pytest.raises(ShapeError) as err:
+            nn.sigmoid_backward(y, np.ones((1, 1), dtype=np.float32))
+        assert "(1, 1)" in str(err.value) and "(2, 1)" in str(err.value)
 
     def test_global_avg_pool_backward_non_4d_shape_rejected(self):
         with pytest.raises(ShapeError, match="4-d"):
@@ -305,14 +313,20 @@ class TestStatelessOps:
 
 
 def _pool_against_reference(x_nchw, gy_nchw):
-    """Pool float32 x both ways; assert y and gx match the loop oracle's bit for bit."""
+    """Pool x both ways; assert y and gx match the loop oracle's bit for bit."""
     want_y, want_gx = maxpool2x2_reference(x_nchw, gy_nchw)
     y, cache = nn.maxpool2x2_forward_nhwc(to_nhwc(x_nchw))
     gx = to_nchw(nn.maxpool2x2_backward_nhwc(cache, to_nhwc(gy_nchw)))
     # bit patterns, so that a -0.0 where the oracle has +0.0 fails too
-    np.testing.assert_array_equal(to_nchw(y).view(np.uint32), want_y.view(np.uint32))
-    np.testing.assert_array_equal(gx.view(np.uint32), want_gx.view(np.uint32))
+    bits = _bits(x_nchw.dtype)
+    np.testing.assert_array_equal(to_nchw(y).view(bits), want_y.view(bits))
+    np.testing.assert_array_equal(gx.view(bits), want_gx.view(bits))
     return gx
+
+
+def _bits(dtype):
+    """The unsigned integer dtype a float array is compared through, bit for bit."""
+    return np.dtype(f"u{np.dtype(dtype).itemsize}")
 
 
 def _gauss32(seed, *shape):
@@ -533,6 +547,74 @@ class TestConvRowBands:
         _conv_against_reference(2, c, k, (kh, kw), h, w, seed=46)
 
 
+class TestPassBands:
+    """Batchnorm, the relu backward and the pool backward work through a
+    full-size map one band of rows at a time; a band edge must not change a
+    bit.  The budget is cut to `rows` rows of W*C values (row pairs for the
+    pool), so over the 14 rows of every case 4 leaves a short last band."""
+
+    N, H, W, C = 2, 7, 6, 3
+    dtypes = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    band_rows = pytest.mark.parametrize("rows", [1, 2, 4])
+
+    def _budget(self, monkeypatch, rows, dtype, row_values):
+        monkeypatch.setattr(nn, "_PASS_BYTES", rows * row_values * np.dtype(dtype).itemsize)
+
+    def _gauss(self, seed, dtype, shape=None):
+        return _gauss32(seed, *(shape or (self.N, self.H, self.W, self.C))).astype(dtype)
+
+    @dtypes
+    @band_rows
+    def test_batchnorm_matches_unbanded_formulas(self, monkeypatch, rows, dtype):
+        N, H, W, C = self.N, self.H, self.W, self.C
+        self._budget(monkeypatch, rows, dtype, W * C)
+        cnt = N * H * W
+        layer = nn.BatchNorm2d(C)
+        layer.gamma = 1.0 + 0.5 * self._gauss(80, dtype, (C,))
+        layer.beta = self._gauss(81, dtype, (C,))
+        x = 2.0 + 3.0 * self._gauss(82, dtype)
+        gy = self._gauss(83, dtype)
+
+        mean = (np.einsum("nhwc->c", x, dtype=np.float64) / cnt).astype(dtype)
+        d = x - mean
+        inv = (1.0 / np.sqrt(np.einsum("nhwc,nhwc->c", d, d) / cnt + layer.epsilon)
+               ).astype(dtype)
+        A = layer.gamma * inv
+        g_gamma = (np.einsum("nhwc,nhwc->c", gy, d) * inv).astype(dtype)
+        g_beta = np.einsum("nhwc->c", gy, dtype=np.float64).astype(dtype)
+        B = (-A * inv * g_gamma / cnt).astype(dtype)
+        Cc = (-A * g_beta / cnt).astype(dtype)
+        want = [d * A + layer.beta, gy * A + d * B + Cc, g_gamma, g_beta]
+
+        y, cache = layer.forward_train_nhwc(x)
+        got = [y, *layer.backward_nhwc(cache, gy)]
+        for g, w in zip(got, want):
+            assert g.dtype == dtype and g.shape == w.shape
+            np.testing.assert_array_equal(g.view(_bits(dtype)), w.view(_bits(dtype)))
+
+    @dtypes
+    @band_rows
+    def test_relu_backward_matches_unbanded_formula(self, monkeypatch, rows, dtype):
+        self._budget(monkeypatch, rows, dtype, self.W * self.C)
+        y = nn.relu(self._gauss(84, dtype))
+        gy = self._gauss(85, dtype)  # negative cells where y == 0 must read -0.0
+        got = nn.relu_backward(y, gy)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(_bits(dtype)),
+                                      (gy * (y > 0)).view(_bits(dtype)))
+
+    @dtypes
+    @band_rows
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_pool_backward_matches_reference(self, monkeypatch, rows, dtype, ties):
+        N, H, W, C = self.N, self.H, self.W, self.C
+        self._budget(monkeypatch, rows, dtype, 2 * W * C)
+        x = _gauss32(86, N, C, 2 * H, W).astype(dtype)
+        if ties:
+            x = nn.relu(np.round(x))
+        _pool_against_reference(x, _gauss32(87, N, C, H, W // 2).astype(dtype))
+
+
 class TestDense:
     def test_identity(self):
         layer = nn.Dense(3, 3)
@@ -574,6 +656,14 @@ class TestDropout:
         y1, _ = layer.forward(x, mode="train", rng=RngStream(77))
         y2, _ = layer.forward(x, mode="train", rng=RngStream(77))
         np.testing.assert_array_equal(y1, y2)
+
+    def test_backward_mask_mismatch_rejected(self):
+        # a (1, 3) gradient used to broadcast against the (2, 3) mask
+        _, mask = nn.Dropout(0.5).forward(np.ones((2, 3), dtype=np.float32), "train",
+                                          RngStream(3))
+        with pytest.raises(ShapeError) as err:
+            nn.Dropout(0.5).backward(mask, np.ones((1, 3), dtype=np.float32))
+        assert "(1, 3)" in str(err.value) and "(2, 3)" in str(err.value)
 
     def test_rate_one_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -628,6 +718,24 @@ class TestAdam:
             opt.step([p], [2.0 * p])
         assert p[0] == pytest.approx(want, abs=1e-12)
         assert abs(p[0]) < 0.1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_match_textbook_expressions_bitwise(self, dtype):
+        # m, v and the update in this order, each op in the parameters' dtype
+        opt = nn.Adam(learning_rate=3e-3)
+        b1, b2, lr, eps = opt.beta1, opt.beta2, opt.learning_rate, opt.epsilon
+        p = _gauss32(90, 4, 5).astype(dtype)
+        want, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+        opt.register([p])
+        for t in range(1, 4):
+            g = _gauss32(90 + t, 4, 5).astype(dtype)
+            opt.step([p], [g])
+            m = m * b1 + (1.0 - b1) * g
+            v = v * b2 + (1.0 - b2) * np.square(g)
+            want -= lr * (m * (1.0 / (1.0 - b1 ** t))) / (
+                np.sqrt(v * (1.0 / (1.0 - b2 ** t))) + eps)
+            assert p.dtype == dtype
+            np.testing.assert_array_equal(p.view(_bits(dtype)), want.view(_bits(dtype)))
 
     def test_shape_mismatch(self):
         p = np.zeros(3, dtype=np.float32)

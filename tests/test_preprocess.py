@@ -190,6 +190,22 @@ class TestGaussianNoise:
             pp.add_gaussian_noise(np.zeros((1, 4, 4), dtype=np.float32), -0.1,
                                   RngStream(5))
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # NaN passed a bare `sigma < 0` check and made an all-NaN composite;
+        # inf saturated every pixel to 0 or 1
+        with pytest.raises(InvalidParameterError, match="sigma"):
+            pp.add_gaussian_noise(np.zeros((1, 4, 4), dtype=np.float32), sigma,
+                                  RngStream(5))
+
+    def test_float32_noise_keeps_dtype_and_is_seeded(self):
+        img = np.full((3, 8, 8), 0.5, dtype=np.float32)
+        a = pp.add_gaussian_noise(img, 0.02, RngStream(6))
+        assert a.dtype == np.float32
+        np.testing.assert_array_equal(a, pp.add_gaussian_noise(img, 0.02, RngStream(6)))
+        np.testing.assert_allclose(a - img, 0.02 * RngStream(6).gaussian32(img.size)
+                                   .reshape(img.shape), rtol=0, atol=1e-7)
+
 
 class TestAugment:
     def test_hflip_involution(self):
