@@ -40,7 +40,8 @@ META_FILENAME = "meta.json"
 
 SYNTH_PATCH_SIZE = 256
 
-# train, val, test: floors of the first two per class, the remainder is test
+# train, val, test: floors of the first two per class (val at least one
+# when two or more are left), the remainder is test
 SPLIT_FRACS = (0.7, 0.1, 0.2)
 
 
@@ -78,9 +79,11 @@ def _shuffled(rng: RngStream, items):
 def build_manifest(root, seed=0) -> DatasetManifest:
     """Deterministic stratified split over the sample directories under root.
 
-    Per label: floor(0.7 * n) train, floor(0.1 * n) val (SPLIT_FRACS), the
-    remainder test, over a seeded shuffle of the path-sorted samples.  The
-    same (root, seed) always gives the same split.
+    Per label: floor(0.7 * n) train and floor(0.1 * n) val (SPLIT_FRACS),
+    the remainder test, over a seeded shuffle of the path-sorted samples.
+    Val gets at least one sample whenever train leaves two or more, so
+    below 10 per class val is not empty and test keeps one (4 per class
+    split 2/1/1).  The same (root, seed) always gives the same split.
     """
     ft, fv, _ = SPLIT_FRACS
     entries = []
@@ -103,6 +106,8 @@ def build_manifest(root, seed=0) -> DatasetManifest:
         n = len(order)
         n_train = math.floor(ft * n)
         n_val = math.floor(fv * n)
+        if n - n_train >= 2:
+            n_val = max(1, n_val)
         for k, i in enumerate(order):
             split_of[i] = ("train" if k < n_train
                            else "val" if k < n_train + n_val else "test")

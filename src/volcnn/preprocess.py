@@ -16,11 +16,34 @@ channel:
 
 All three channels are clipped to [0, 1] afterwards; the formula can
 exceed 1 and the composites feed a display-range-bounded network input.
+
+Plane files (VBP1 patches, VRC1 composites) are written as a new file on
+every write: an existing file at the path is unlinked, never truncated.
+On ext4 (default ``auto_da_alloc``), closing a file that was truncated and
+rewritten starts its writeback at once, and the next truncation of that
+file waits for it; a cache build rewrites the same few files in turn and
+paid that wait on almost every write.  A new inode is never truncated, and
+the dirty pages of the unlinked one are dropped unwritten.  A write cut
+short still leaves a short file, which the reader rejects by its offset.
+Readers read the payload with one ``readinto`` into the returned array.
+Measured on a 2-vCPU ext4 host, 3x512^2 VRC1 files, 8 rewritten in turn,
+p10 of 200 writes:
+
+    open(path, "wb"), truncating (the old writer)    4.5-4.6 ms
+    temp file + os.replace (flushes on rename-over)   4.7-5.0 ms
+    O_WRONLY without O_TRUNC, then truncate()         0.7-0.8 ms
+    unlink + new file (this writer)                   1.3 ms
+
+Writing over the file in place is faster but keeps the old size after a
+torn write, so a mix of old and new planes would pass the reader's checks.
+``save_composite`` p10 went 4.7-4.8 -> 1.9-2.1 ms, ``load_composite``
+1.2-1.3 -> 0.9 ms and ``load_band_planes`` (5x256^2) 0.55-0.60 -> 0.38 ms.
 """
 
 from __future__ import annotations
 
 import datetime
+import os
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -280,8 +303,8 @@ _SENSOR_OFFSET = _HEADER.size - 1
 
 
 def _write_planes(path, magic, n_planes, planes, sensor_id):
-    """Write a plane file, refusing before the file is opened what
-    _read_planes would refuse: a shape other than (n_planes, H, W), an
+    """Write a plane file as a new file, refusing before path is touched
+    what _read_planes would refuse: a shape other than (n_planes, H, W), an
     empty plane, H or W above the header's 65535, or a non-finite value
     (the first one is named by its (plane, row, col) index)."""
     planes = np.ascontiguousarray(planes, dtype="<f4")
@@ -297,9 +320,13 @@ def _write_planes(path, magic, n_planes, planes, sensor_id):
         i = np.unravel_index(int(finite.argmin()), planes.shape)
         raise ShapeError(f"{path}: non-finite value {planes[i]} at index "
                          f"{tuple(int(k) for k in i)}")
-    with open(path, "wb") as f:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "xb") as f:
         f.write(_HEADER.pack(magic, H, W, sensor_id))
-        f.write(planes.tobytes())
+        f.write(memoryview(planes))
 
 
 def _read_planes(path, magic, n_planes):
@@ -312,15 +339,15 @@ def _read_planes(path, magic, n_planes):
             raise ModelFormatError(f"{path}: bad magic {got_magic!r} at offset 0")
         if H == 0 or W == 0:
             raise ModelFormatError(f"{path}: empty {H}x{W} planes at offset {len(magic)}")
-        want = n_planes * H * W * 4
-        data = f.read(want)
-        if len(data) != want:
+        arr = np.empty(n_planes * H * W, dtype="<f4")
+        got = f.readinto(arr)
+        if got != arr.nbytes:
             raise ModelFormatError(
-                f"{path}: truncated planes at offset {_HEADER.size + len(data)}")
+                f"{path}: truncated planes at offset {_HEADER.size + got}")
         if f.read(1):
             raise ModelFormatError(
-                f"{path}: trailing bytes at offset {_HEADER.size + want}")
-    arr = np.frombuffer(data, dtype="<f4").astype(np.float32)
+                f"{path}: trailing bytes at offset {_HEADER.size + got}")
+    arr = arr.astype(np.float32, copy=False)
     finite = np.isfinite(arr)
     if not finite.all():
         i = int(finite.argmin())
@@ -330,8 +357,14 @@ def _read_planes(path, magic, n_planes):
 
 
 def save_band_planes(path, patch: BandPatch):
-    """Write the five band planes of a patch as a VBP1 file; ShapeError,
-    before the file is opened, if the bands differ in shape."""
+    """Write the five band planes of a patch as a new VBP1 file at path.
+
+    ShapeError, before anything at path is touched, if the bands differ in
+    shape or the planes fail a check of the reader.  Then whatever is at
+    path is unlinked and a new file is created, so the directory must be
+    writable; a symlink or hard link at path is replaced, not written
+    through, and a reader that already has the old file open keeps it.
+    """
     bands = patch.bands()
     for name, b in zip(BAND_ORDER, bands):
         if np.shape(b) != np.shape(bands[0]):
@@ -351,6 +384,14 @@ def load_band_planes(path):
 
 
 def save_composite(path, composite: RgbComposite):
+    """Write a composite's (3, H, W) planes as a new VRC1 file at path.
+
+    ShapeError, before anything at path is touched, for planes the reader
+    would refuse.  Like save_band_planes, it unlinks whatever is at path
+    and creates a new file: the directory must be writable, a symlink or
+    hard link at path is replaced, not written through, and a reader that
+    already has the old file open keeps it.
+    """
     _write_planes(path, COMPOSITE_MAGIC, 3, composite.pixels, 0)
 
 

@@ -44,6 +44,14 @@ class TestManifest:
             # floor(0.7 * 13) = 9, floor(0.1 * 13) = 1, the remainder 3
             assert [got.count(n) for n in ("train", "val", "test")] == [9, 1, 3]
 
+    @pytest.mark.parametrize("n, want", [(2, [1, 0, 1]), (3, [2, 0, 1]), (4, [2, 1, 1])])
+    def test_small_classes_keep_one_val_and_one_test(self, tmp_path, n, want):
+        # val is at least one once train, floor(0.7 * n), leaves two
+        manifest = ds.synth_generate(n, seed=3, out_dir=str(tmp_path), size=SIZE)
+        for label in (ds.LABEL_ERUPTION, ds.LABEL_NO_ERUPTION):
+            got = [s.split for s in manifest.samples if s.label == label]
+            assert [got.count(name) for name in ("train", "val", "test")] == want
+
     def test_split_is_a_function_of_root_and_seed(self, synth):
         root, _ = synth
         def rows(seed):

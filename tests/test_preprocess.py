@@ -286,8 +286,32 @@ class TestPipeline:
             pp.preprocess_raw(make_patch(swir2=swir2))
 
 
-            assert comp.pixels.shape == (3, 512, 512)
-            assert np.isfinite(comp.pixels).all()
+def save_planes(fmt, path, planes):
+    """Write (n, H, W) planes with the writer of fmt: five bands or a composite."""
+    if fmt == "vbp1":
+        pp.save_band_planes(path, pp.BandPatch(
+            *planes, sensor=pp.Sensor.SYNTHETIC, center_lat=0.0,
+            center_lon=0.0, acquired=datetime.date(2019, 6, 22)))
+    else:
+        pp.save_composite(path, pp.RgbComposite(pixels=planes, provenance="x"))
+
+
+def load_planes(fmt, path):
+    if fmt == "vbp1":
+        return pp.load_band_planes(path)[0]
+    return pp.load_composite(path).pixels
+
+
+def random_planes(fmt, h, w, seed):
+    n = 5 if fmt == "vbp1" else 3
+    return RngStream(seed).uniform(n * h * w).reshape(n, h, w).astype(np.float32)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
 class TestPlaneFiles:
     def test_band_patch_roundtrip(self, tmp_path):
         patch = make_patch(h=6, w=5, red=0.7)
@@ -313,8 +337,22 @@ class TestPlaneFiles:
         pp.save_band_planes(path, patch)
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
-        with pytest.raises(ModelFormatError, match="offset"):
+        with pytest.raises(ModelFormatError, match="truncated planes at offset 304$"):
             pp.load_band_planes(path)
+
+    @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
+    @pytest.mark.parametrize("h, w, k", [(6, 5, 0), (6, 5, 17), (512, 512, 3 * 512 * 512 - 1)],
+                             ids=["first", "inside", "512sq"])
+    def test_truncation_names_the_bytes_read(self, tmp_path, fmt, h, w, k):
+        # cut 2 bytes into the value after the first k: the offset is the
+        # count of bytes the reader got, not a multiple of 4
+        path = tmp_path / "planes.bin"
+        save_planes(fmt, path, random_planes(fmt, h, w, seed=1))
+        cut = 9 + 4 * k + 2
+        with open(path, "r+b") as f:
+            f.truncate(cut)
+        with pytest.raises(ModelFormatError, match=f"truncated planes at offset {cut}$"):
+            load_planes(fmt, path)
 
     def test_unknown_sensor_rejected(self, tmp_path):
         patch = make_patch(h=6, w=5)
@@ -388,12 +426,7 @@ class TestPlaneFiles:
             planes[2, 3, 3] = np.inf  # a later one is not the one named
         path = tmp_path / "planes.bin"
         with pytest.raises(ShapeError, match=f"planes.bin: {error}$"):
-            if fmt == "vbp1":
-                pp.save_band_planes(path, pp.BandPatch(
-                    *planes, sensor=pp.Sensor.SYNTHETIC, center_lat=0.0,
-                    center_lon=0.0, acquired=datetime.date(2019, 6, 22)))
-            else:
-                pp.save_composite(path, pp.RgbComposite(pixels=planes, provenance="x"))
+            save_planes(fmt, path, planes)
         assert not path.exists()
 
     def test_band_planes_of_unequal_shape_refused(self, tmp_path):
@@ -418,3 +451,63 @@ class TestPlaneFiles:
         path.write_bytes(b"NOPE" + bytes(100))
         with pytest.raises(ModelFormatError, match="magic"):
             pp.load_band_planes(path)
+
+
+class TestPlaneFileRewrite:
+    """A write makes a new file at the path: nothing at the path is
+    truncated or written through, and a refused write leaves it alone."""
+
+    @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
+    @pytest.mark.parametrize("bad", ["nan", "shape"])
+    def test_refused_write_keeps_the_old_file(self, tmp_path, fmt, bad):
+        path = tmp_path / "planes.bin"
+        old = random_planes(fmt, 6, 5, seed=2)
+        save_planes(fmt, path, old)
+        ino = path.stat().st_ino
+        new = random_planes(fmt, 6, 5, seed=3)
+        if bad == "nan":
+            new[1, 2, 3] = np.nan
+        else:
+            new = new[..., None]
+        with pytest.raises(ShapeError, match="non-finite|expected"):
+            save_planes(fmt, path, new)
+        assert path.stat().st_ino == ino
+        assert_same_bits(load_planes(fmt, path), old)
+
+    @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
+    def test_rewrite_with_smaller_planes(self, tmp_path, fmt):
+        path = tmp_path / "planes.bin"
+        save_planes(fmt, path, random_planes(fmt, 6, 5, seed=4))
+        small = random_planes(fmt, 3, 4, seed=5)
+        save_planes(fmt, path, small)
+        assert_same_bits(load_planes(fmt, path), small)
+
+    @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
+    def test_open_reader_keeps_the_old_bytes(self, tmp_path, fmt):
+        path = tmp_path / "planes.bin"
+        save_planes(fmt, path, random_planes(fmt, 64, 64, seed=6))
+        old_bytes = path.read_bytes()
+        new = random_planes(fmt, 64, 64, seed=7)
+        with open(path, "rb") as f:
+            head = f.read(100)
+            save_planes(fmt, path, new)
+            assert head + f.read() == old_bytes
+        assert_same_bits(load_planes(fmt, path), new)
+
+    @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
+    @pytest.mark.parametrize("link", ["symlink", "hardlink"])
+    def test_link_at_path_is_replaced(self, tmp_path, fmt, link):
+        target = tmp_path / "target.bin"
+        save_planes(fmt, target, random_planes(fmt, 6, 5, seed=8))
+        target_bytes = target.read_bytes()
+        path = tmp_path / "planes.bin"
+        if link == "symlink":
+            path.symlink_to(target)
+        else:
+            path.hardlink_to(target)
+        new = random_planes(fmt, 6, 5, seed=9)
+        save_planes(fmt, path, new)
+        assert not path.is_symlink()
+        assert path.stat().st_ino != target.stat().st_ino
+        assert_same_bits(load_planes(fmt, path), new)
+        assert target.read_bytes() == target_bytes
