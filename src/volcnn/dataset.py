@@ -189,10 +189,9 @@ def _disk(rng, h, w, r_lo, r_hi, value_lo, value_hi):
     peak = value_lo + (value_hi - value_lo) * u[3]
     y, x = np.mgrid[0:h, 0:w]
     d = np.sqrt((y - cy) ** 2 + (x - cx) ** 2)
-    core = d <= radius
     skirt = np.exp(-0.5 * ((d - radius) / (radius * 0.5)) ** 2)
-    field = np.where(core, 1.0, skirt) * peak
-    return field.astype(np.float32), core
+    field = np.where(d <= radius, 1.0, skirt) * peak
+    return field.astype(np.float32)
 
 
 def _terrain(rng, h, w):
@@ -211,8 +210,8 @@ def _terrain(rng, h, w):
 
 def _gen_eruption(rng, h, w):
     bands = _terrain(rng, h, w)
-    hot, core = _disk(rng.fork("hot"), h, w, r_lo=10, r_hi=22,
-                      value_lo=0.7, value_hi=1.0)
+    hot = _disk(rng.fork("hot"), h, w, r_lo=10, r_hi=22,
+                value_lo=0.7, value_hi=1.0)
     bands["swir2"] = np.maximum(bands["swir2"], hot)
     bands["swir1"] = np.maximum(bands["swir1"], (0.8 * hot).astype(np.float32))
     bands["red"] = np.clip(bands["red"] + 0.25 * (hot > 0.5 * hot.max()), 0, 1)
@@ -226,8 +225,8 @@ def _gen_eruption(rng, h, w):
 
 def _gen_volcano_quiet(rng, h, w):
     bands = _terrain(rng, h, w)
-    cone, _ = _disk(rng.fork("cone"), h, w, r_lo=30, r_hi=70,
-                    value_lo=0.15, value_hi=0.3)
+    cone = _disk(rng.fork("cone"), h, w, r_lo=30, r_hi=70,
+                 value_lo=0.15, value_hi=0.3)
     for name in ("red", "green"):
         bands[name] = np.clip(bands[name] + cone, 0, 1)
     bands["swir2"] = np.clip(bands["swir2"], 0, 0.45)

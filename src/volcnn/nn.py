@@ -8,11 +8,12 @@ once, at the model input, and never again.  Weights keep their canonical
 layouts: conv (out, in, kh, kw), dense (out, in).
 
 A layer's parameter arrays are its only state.  Constructors make float32
-arrays (3x3 for a conv); another kernel or precision is an assigned array,
-as loading trained weights does.  Each layer reads its shapes from those
-arrays at use and raises ShapeError, naming both shapes, where the input
-or the arrays disagree.  Conv and batchnorm compute in the input's dtype,
-as relu, the pool, gap and sigmoid do; dense follows numpy's promotion.
+arrays with zero weights (3x3 for a conv); whoever builds the net assigns
+the weights, and another kernel or precision is an assigned array.  Each
+layer reads its shapes from those arrays at use and raises ShapeError,
+naming both shapes, where the input or the arrays disagree.  Conv and
+batchnorm compute in the input's dtype, as relu, the pool, gap and sigmoid
+do; dense follows numpy's promotion.
 
 Convolution is stride (1, 1) with "same" zero padding and is evaluated as
 one GEMM per band of output rows over an im2col (patch) matrix.  Each
@@ -198,15 +199,6 @@ def _correlate(x, w, bias=None):
     return y
 
 
-def _he_init(layer, rng: RngStream):
-    """He-normal weights with fan-in weights[0].size, zero bias; the shape
-    and dtype stay the weights'."""
-    w = layer.weights
-    std = np.sqrt(2.0 / w[0].size)
-    layer.weights = (rng.gaussian(w.size).reshape(w.shape) * std).astype(w.dtype)
-    layer.bias = np.zeros(w.shape[0], dtype=w.dtype)
-
-
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
@@ -222,8 +214,6 @@ class Conv2d:
     def __init__(self, in_channels, out_channels):
         self.weights = np.zeros((out_channels, in_channels, 3, 3), dtype=DEFAULT_DTYPE)
         self.bias = np.zeros(out_channels, dtype=DEFAULT_DTYPE)
-
-    init_params = _he_init
 
     def _check(self, x):
         """(N, H, W, C) of x; ShapeError unless x, weights and bias fit one conv."""
@@ -375,8 +365,6 @@ class Dense:
     def __init__(self, in_features, out_features):
         self.weights = np.zeros((out_features, in_features), dtype=DEFAULT_DTYPE)
         self.bias = np.zeros(out_features, dtype=DEFAULT_DTYPE)
-
-    init_params = _he_init
 
     def _check_input(self, x):
         w, b = self.weights.shape, self.bias.shape

@@ -127,10 +127,12 @@ class BandPatch:
         return (self.blue, self.green, self.red, self.swir1, self.swir2)
 
     def validate(self):
+        """Return self; ShapeError, naming the band, unless every band has
+        blue's shape and only finite values."""
         shape = self.blue.shape
         for name, b in zip(BAND_ORDER, self.bands()):
             if b.shape != shape:
-                raise ShapeError(f"band {name} shape {b.shape} != {shape}")
+                raise ShapeError(f"band {name} shape {b.shape} != band blue shape {shape}")
             if not np.all(np.isfinite(b)):
                 raise ShapeError(f"band {name} contains non-finite values")
         return self
@@ -144,7 +146,11 @@ class RgbComposite:
 
 
 def normalize_sensor(raw: BandPatch, profile: SensorProfile) -> BandPatch:
-    """Raw digital numbers -> reflectance via the profile affine, clipped to [0, 1]."""
+    """Raw digital numbers -> reflectance via the profile affine, clipped to [0, 1].
+
+    The patch is validated first: the clip would turn an inf into 1.0.
+    """
+    raw.validate()
     if raw.sensor != profile.sensor:
         raise ProfileError(
             f"patch sensor {raw.sensor.name} != profile {profile.sensor.name}")
@@ -160,7 +166,10 @@ def merge_bands(patch: BandPatch) -> np.ndarray:
     """SWIR-highlighted 3-channel composite at the patch's native (H, W).
 
     Returns (3, H, W) float32 clipped to [0, 1], channels (RED, GREEN, BLUE).
+    The patch is validated first: the clip would hide an inf, and a band of
+    another shape would broadcast.
     """
+    patch.validate()
     red = ALPHA * patch.red + np.maximum(0.0, patch.swir2 - SWIR_FLOOR)
     green = ALPHA * patch.green + np.maximum(0.0, patch.swir1 - SWIR_FLOOR)
     blue = ALPHA * patch.blue
@@ -286,12 +295,12 @@ def compose_patch(patch: BandPatch, target=COMPOSITE_SIZE,
 
 
 def preprocess_raw(raw: BandPatch) -> RgbComposite:
-    """Full pipeline from raw digital numbers: validate, normalize with the
-    sensor's profile, merge, resize.
+    """Full pipeline from raw digital numbers: normalize with the sensor's
+    profile, merge, resize.
 
     Bands of mismatched shape or with non-finite values raise ShapeError.
     """
-    return compose_patch(normalize_sensor(raw.validate(), PROFILES[raw.sensor]))
+    return compose_patch(normalize_sensor(raw, PROFILES[raw.sensor]))
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +309,37 @@ def preprocess_raw(raw: BandPatch) -> RgbComposite:
 
 _HEADER = struct.Struct("<4sHHB")  # magic, H, W, sensor id
 _SENSOR_OFFSET = _HEADER.size - 1
+# The least magnitude that rounds to inf in float32: 2**128 - 2**103 lies
+# halfway between float32's max (2**128 - 2**104) and 2**128, and the tie
+# goes to the even 2**128.
+_F32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
 
 
 def _write_planes(path, magic, n_planes, planes, sensor_id):
     """Write a plane file as a new file, refusing before path is touched
     what _read_planes would refuse: a shape other than (n_planes, H, W), an
-    empty plane, H or W above the header's 65535, or a non-finite value
-    (the first one is named by its (plane, row, col) index)."""
-    planes = np.ascontiguousarray(planes, dtype="<f4")
-    if planes.ndim != 3 or planes.shape[0] != n_planes:
-        raise ShapeError(f"{path}: expected ({n_planes}, H, W) planes, got {planes.shape}")
-    _, H, W = planes.shape
+    empty plane, H or W above the header's 65535, or a value that is not
+    finite or not finite in float32.  The first such value is named as
+    given, with its (plane, row, col) index; the planes are cast to
+    float32 only after these checks."""
+    given = np.asarray(planes)
+    if given.ndim != 3 or given.shape[0] != n_planes:
+        raise ShapeError(f"{path}: expected ({n_planes}, H, W) planes, got {given.shape}")
+    _, H, W = given.shape
     if H == 0 or W == 0:
         raise ShapeError(f"{path}: empty {H}x{W} planes")
     if max(H, W) > 0xFFFF:
         raise ShapeError(f"{path}: {H}x{W} planes exceed 65535")
-    finite = np.isfinite(planes)
+    finite = np.isfinite(given)
+    if given.dtype.itemsize > 4:
+        finite &= np.abs(given) < _F32_OVERFLOW
     if not finite.all():
-        i = np.unravel_index(int(finite.argmin()), planes.shape)
-        raise ShapeError(f"{path}: non-finite value {planes[i]} at index "
-                         f"{tuple(int(k) for k in i)}")
+        i = np.unravel_index(int(finite.argmin()), given.shape)
+        v, at = given[i], tuple(int(k) for k in i)
+        if np.isfinite(v):
+            raise ShapeError(f"{path}: value {v} at index {at} overflows float32")
+        raise ShapeError(f"{path}: non-finite value {v} at index {at}")
+    planes = np.ascontiguousarray(given, dtype="<f4")
     try:
         os.unlink(path)
     except FileNotFoundError:
@@ -396,5 +416,9 @@ def save_composite(path, composite: RgbComposite):
 
 
 def load_composite(path, provenance="") -> RgbComposite:
-    planes, _ = _read_planes(path, COMPOSITE_MAGIC, 3)
+    """Read a VRC1 file; its sensor byte must be 0, as save_composite writes."""
+    planes, sensor_id = _read_planes(path, COMPOSITE_MAGIC, 3)
+    if sensor_id != 0:
+        raise ModelFormatError(f"{path}: composite sensor id {sensor_id} "
+                               f"at offset {_SENSOR_OFFSET}, expected 0")
     return RgbComposite(pixels=planes, provenance=provenance)

@@ -9,17 +9,16 @@ Randomness comes from ``RngStream``, a counter-based SplitMix64 generator.
 Output ``i`` of a stream is ``mix64(seed + (i + 1) * GOLDEN)``, so the
 sequence depends only on the 64-bit seed and the draw index: identical on
 every platform, cheap to fork, and safe to vectorise.  Consumers that must
-not interleave draws (weight init, batch sampling, augmentation, dropout)
-each own a fork keyed by a label.
+not interleave draws (batch sampling, augmentation, noise, dropout) each
+own a fork keyed by a label.
 
-``gaussian`` draws float64 normals, two raw outputs per pair, for weight
-init and the finite-difference checks.  ``gaussian32`` draws float32
-normals for augmentation noise, one raw output per pair: the top 24 bits of
-its high half give u1 and the top 24 bits of its low half give u2, each a
-float32 uniform on a 2**-24 grid, and Box-Muller runs in float32, so
-|z| <= sqrt(-2 ln 2**-24) ~= 5.77.  It needs half the raw outputs and no
-float64 pass: noise for a 3x512x512 composite took 12.7 ms against 52.6 ms
-with ``gaussian`` (median of 25, 2-vCPU host).
+``gaussian32`` is the one normal sampler.  It draws float32 normals, one
+raw output per pair: the top 24 bits of its high half give u1 and the top
+24 bits of its low half give u2, each a float32 uniform on a 2**-24 grid,
+and Box-Muller runs in float32, so |z| <= sqrt(-2 ln 2**-24) ~= 5.77.
+Noise for a 3x512x512 composite takes 12.7 ms; a float64 Box-Muller on
+one raw output per uniform took 52.6 ms (median of 25, 2-vCPU host).  The
+finite-difference gradient checks draw from it too, cast to float64.
 """
 
 from __future__ import annotations
@@ -95,21 +94,6 @@ class RngStream:
     def uniform(self, n: int) -> np.ndarray:
         """Next n doubles in [0, 1), from the top 53 bits of each raw draw."""
         return (self.raw(n) >> _U64(11)).astype(np.float64) / _TWO53
-
-    def gaussian(self, n: int) -> np.ndarray:
-        """Next n standard normal doubles via Box-Muller on uniform pairs."""
-        if n < 0:
-            raise InvalidParameterError("draw count must be >= 0")
-        pairs = (n + 1) // 2
-        u = self.uniform(2 * pairs)
-        u1 = 1.0 - u[:pairs]  # (0, 1]: keeps log() finite
-        u2 = u[pairs:]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
 
     def gaussian32(self, n: int) -> np.ndarray:
         """Next n standard normal float32s via Box-Muller, one raw draw per pair.

@@ -19,7 +19,8 @@ H_FD = 1e-5
 
 
 def _gauss(rng, *shape):
-    return rng.gaussian(int(np.prod(shape))).reshape(shape)
+    """Float64 normals of the given shape: float32 draws, cast."""
+    return rng.gaussian32(int(np.prod(shape))).reshape(shape).astype(np.float64)
 
 
 def check_conv(seed):

@@ -26,11 +26,10 @@ class TestConv2d:
         assert layer.forward_nhwc(x).shape == (1, 512, 512, 16)
 
     def test_matches_bruteforce_oracle(self):
-        rng = RngStream(100)
         layer = nn.Conv2d(2, 3)
-        layer.init_params(rng.fork("w"))
-        layer.bias = rng.gaussian(3).astype(np.float32)
-        x = rng.gaussian(1 * 2 * 5 * 5).reshape(1, 2, 5, 5).astype(np.float32)
+        layer.weights = _gauss32(101, 3, 2, 3, 3)
+        layer.bias = _gauss32(102, 3)
+        x = _gauss32(103, 1, 2, 5, 5)
         got = to_nchw(layer.forward_nhwc(to_nhwc(x)))
         want = conv2d_reference(x, layer.weights, layer.bias)
         assert max_rel_err(got, want) < 1e-5
@@ -68,25 +67,23 @@ class TestConv2d:
 
     def test_forward_deterministic(self):
         layer = nn.Conv2d(2, 4)
-        layer.init_params(RngStream(3))
-        x = to_nhwc(RngStream(4).gaussian(2 * 2 * 6 * 6).reshape(2, 2, 6, 6)
-                    .astype(np.float32))
+        layer.weights = _gauss32(3, 4, 2, 3, 3)
+        x = to_nhwc(_gauss32(4, 2, 2, 6, 6))
         np.testing.assert_array_equal(layer.forward_nhwc(x), layer.forward_nhwc(x))
 
     def test_backward_zero_cotangent(self):
         layer = nn.Conv2d(2, 3)
-        layer.init_params(RngStream(5))
-        x = to_nhwc(RngStream(6).gaussian(36 * 2).reshape(1, 2, 6, 6)
-                    .astype(np.float32))
+        layer.weights = _gauss32(5, 3, 2, 3, 3)
+        x = to_nhwc(_gauss32(6, 1, 2, 6, 6))
         gx, gw, gb = layer.backward_nhwc(x, np.zeros((1, 6, 6, 3), dtype=np.float32))
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_grad_bias_is_channel_sum(self):
         layer = nn.Conv2d(2, 3)
-        layer.weights = np.zeros((3, 2, 3, 3))
-        layer.init_params(RngStream(7))
-        x = to_nhwc(RngStream(8).gaussian(2 * 2 * 4 * 4).reshape(2, 2, 4, 4))
-        gy = to_nhwc(RngStream(9).gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4))
+        layer.weights = _gauss32(7, 3, 2, 3, 3).astype(np.float64)
+        layer.bias = np.zeros(3)
+        x = to_nhwc(_gauss32(8, 2, 2, 4, 4).astype(np.float64))
+        gy = to_nhwc(_gauss32(9, 2, 3, 4, 4).astype(np.float64))
         _, _, gb = layer.backward_nhwc(x, gy)
         np.testing.assert_allclose(gb, gy.sum(axis=(0, 1, 2)), rtol=1e-12)
 
@@ -103,16 +100,14 @@ class TestBatchNorm2d:
 
     def test_infer_identity_normalization(self):
         layer = nn.BatchNorm2d(3)
-        x = to_nhwc(RngStream(1).gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
-                    .astype(np.float32))
+        x = to_nhwc(_gauss32(1, 2, 3, 4, 4))
         y = layer.forward_infer_nhwc(x)
         np.testing.assert_allclose(y, x / np.sqrt(1.0 + layer.epsilon), rtol=1e-6)
         assert np.max(np.abs(y - x)) < 0.02 * np.max(np.abs(x)) + 1e-3
 
     def test_train_normalizes_batch(self):
         layer = nn.BatchNorm2d(5)
-        x = to_nhwc((3.0 * RngStream(2).gaussian(8 * 5 * 6 * 6))
-                    .reshape(8, 5, 6, 6).astype(np.float32))
+        x = to_nhwc(3.0 * _gauss32(2, 8, 5, 6, 6))
         y, _ = layer.forward_train_nhwc(x)
         mean = y.mean(axis=(0, 1, 2))
         var = y.var(axis=(0, 1, 2))
@@ -123,8 +118,7 @@ class TestBatchNorm2d:
         layer = nn.BatchNorm2d(2)
         layer.gamma[:] = 2.0
         layer.beta[:] = 3.0
-        x = to_nhwc((3.0 * RngStream(3).gaussian(4 * 2 * 4 * 4))
-                    .reshape(4, 2, 4, 4).astype(np.float32))
+        x = to_nhwc(3.0 * _gauss32(3, 4, 2, 4, 4))
         y, _ = layer.forward_train_nhwc(x)
         ref = nn.BatchNorm2d(2)
         xhat, _ = ref.forward_train_nhwc(x)
@@ -176,8 +170,7 @@ class TestBatchNorm2d:
 
     def test_backward_zero_cotangent(self):
         layer = nn.BatchNorm2d(3)
-        x = to_nhwc(RngStream(4).gaussian(4 * 3 * 4 * 4).reshape(4, 3, 4, 4)
-                    .astype(np.float32))
+        x = to_nhwc(_gauss32(4, 4, 3, 4, 4))
         _, cache = layer.forward_train_nhwc(x)
         gx, gg, gb = layer.backward_nhwc(cache, np.zeros((4, 4, 4, 3), dtype=np.float32))
         assert not gx.any() and not gg.any() and not gb.any()
@@ -185,9 +178,9 @@ class TestBatchNorm2d:
     def test_grad_beta_is_channel_sum(self):
         layer = nn.BatchNorm2d(3)
         layer.gamma, layer.beta = np.ones(3), np.zeros(3)
-        x = to_nhwc(RngStream(5).gaussian(4 * 3 * 4 * 4).reshape(4, 3, 4, 4))
+        x = to_nhwc(_gauss32(5, 4, 3, 4, 4).astype(np.float64))
         _, cache = layer.forward_train_nhwc(x)
-        gy = to_nhwc(RngStream(6).gaussian(x.size).reshape(4, 3, 4, 4))
+        gy = to_nhwc(_gauss32(6, 4, 3, 4, 4).astype(np.float64))
         _, _, gb = layer.backward_nhwc(cache, gy)
         np.testing.assert_allclose(gb, gy.sum(axis=(0, 1, 2)), rtol=1e-12)
 
@@ -330,7 +323,7 @@ def _bits(dtype):
 
 
 def _gauss32(seed, *shape):
-    return RngStream(seed).gaussian(int(np.prod(shape))).reshape(shape).astype(np.float32)
+    return RngStream(seed).gaussian32(int(np.prod(shape))).reshape(shape)
 
 
 class TestMaxPoolOracle:
@@ -367,8 +360,7 @@ class TestMaxPoolOracle:
 def _conv_against_reference(n, c, k, kernel, h, w, seed):
     """A seeded c -> k conv with the given kernel, through _conv_matches_oracles."""
     layer = nn.Conv2d(c, k)
-    layer.weights = np.zeros((k, c, *kernel), dtype=np.float32)
-    layer.init_params(RngStream(seed))
+    layer.weights = _gauss32(seed, k, c, *kernel)
     layer.bias = _gauss32(seed + 3, k)
     _conv_matches_oracles(layer, _gauss32(seed + 1, n, c, h, w), _gauss32(seed + 2, n, k, h, w))
 
@@ -505,9 +497,9 @@ class TestLayersAreTheirArrays:
 
     def test_float32_layers_compute_in_float64_for_float64_input(self):
         conv = nn.Conv2d(2, 3)
-        conv.init_params(RngStream(77))
+        conv.weights = _gauss32(77, 3, 2, 3, 3)
         conv.bias = _gauss32(78, 3)
-        x = RngStream(79).gaussian(2 * 2 * 4 * 4).reshape(2, 2, 4, 4)
+        x = _gauss32(79, 2, 2, 4, 4).astype(np.float64)
         y = conv.forward_nhwc(to_nhwc(x))
         gx, gw, gb = conv.backward_nhwc(to_nhwc(x), y)
         # float64 sums: within 1e-12, where float32 would miss by ~1e-7
@@ -531,8 +523,7 @@ class TestConvRowBands:
         p = 2  # pixels per patch row: 4 for 2 channels, halved to divide w = 6
         assert nn._block_width(c, w) == p
         layer = nn.Conv2d(c, k)
-        layer.weights = np.zeros((k, c, kh, kw), dtype=np.float32)
-        layer.init_params(RngStream(42))
+        layer.weights = _gauss32(42, k, c, kh, kw)
         layer.bias = _gauss32(43, k)
         x = _gauss32(44, 2, c, h, w)
         gy = to_nhwc(_gauss32(45, 2, k, h, w))
@@ -619,7 +610,7 @@ class TestDense:
     def test_identity(self):
         layer = nn.Dense(3, 3)
         layer.weights[:] = np.eye(3, dtype=np.float32)
-        x = RngStream(1).gaussian(6).reshape(2, 3).astype(np.float32)
+        x = _gauss32(1, 2, 3)
         np.testing.assert_allclose(layer.forward(x), x, rtol=1e-6)
 
     def test_feature_mismatch(self):

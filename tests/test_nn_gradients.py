@@ -4,7 +4,7 @@ import pytest
 from volcnn import nn
 from volcnn.tensor import RngStream
 
-from gradcheck import ALL_CHECKS
+from gradcheck import ALL_CHECKS, _gauss
 from oracles import fd_grad, max_rel_err, to_nhwc
 
 TOL = 1e-4
@@ -21,10 +21,10 @@ def test_conv_spec_shape_case():
     # 2->3 channels, 3x3 kernel, 6x6 input, 64-bit, h=1e-5
     rng = RngStream(2024)
     layer = nn.Conv2d(2, 3)
-    layer.weights = rng.gaussian(3 * 2 * 9).reshape(3, 2, 3, 3) * 0.5
-    layer.bias = rng.gaussian(3) * 0.1
-    x = to_nhwc(rng.gaussian(1 * 2 * 6 * 6).reshape(1, 2, 6, 6))
-    r = to_nhwc(rng.gaussian(1 * 3 * 6 * 6).reshape(1, 3, 6, 6))
+    layer.weights = _gauss(rng, 3, 2, 3, 3) * 0.5
+    layer.bias = _gauss(rng, 3) * 0.1
+    x = to_nhwc(_gauss(rng, 1, 2, 6, 6))
+    r = to_nhwc(_gauss(rng, 1, 3, 6, 6))
     loss = lambda: float(np.sum(layer.forward_nhwc(x) * r))
     gx, gw, gb = layer.backward_nhwc(x, r)
     assert max_rel_err(gx, fd_grad(loss, x)) < TOL

@@ -207,6 +207,24 @@ class TestGaussianNoise:
                                    .reshape(img.shape), rtol=0, atol=1e-7)
 
 
+class TestNoiseDigest:
+    """SHA-256 of add_gaussian_noise(image, 0.02, RngStream(seed)), viewed as
+    uint32, for a fixed 3x64x64 image whose values run from 0 to 1, so the
+    clip at both ends is covered.  It pins the bits of gaussian32, which
+    makes the train step's noise and the tests' normal inputs."""
+
+    DIGESTS = {
+        1: "fc76d825184aeb38086fd04fc89480d97bc792cc29cdfffc308ebfecce989765",
+        2: "a4446189d231c40aa94aff2d10c134c64886be62e2b46756dc8d8d6d7c1d795c",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_noise_digest_pinned(self, seed):
+        img = ((np.arange(3 * 64 * 64, dtype=np.float32) % 256) / 255).reshape(3, 64, 64)
+        out = pp.add_gaussian_noise(img, 0.02, RngStream(seed))
+        assert hashlib.sha256(out.view(np.uint32).tobytes()).hexdigest() == self.DIGESTS[seed]
+
+
 class TestAugment:
     def test_hflip_involution(self):
         img = RngStream(6).uniform(32).reshape(2, 4, 4)
@@ -284,6 +302,25 @@ class TestPipeline:
             swir2 = swir2[:, :6]
         with pytest.raises(ShapeError, match="band swir2"):
             pp.preprocess_raw(make_patch(swir2=swir2))
+
+    # Unchecked, a NaN makes a NaN composite, the clips turn an inf into a
+    # finite composite, and a (1, W) band broadcasts into an (H, W) one.
+    @pytest.mark.parametrize("band, bad", [
+        ("red", "nan"), ("swir2", "inf"), ("red", "inf"), ("green", "-inf"),
+        ("swir1", "row"), ("blue", "row")])
+    @pytest.mark.parametrize("call", ["compose_patch", "normalize_sensor"])
+    def test_bad_band_rejected_naming_it(self, call, band, bad):
+        plane = np.full((8, 8), 0.1, dtype=np.float32)
+        if bad == "row":
+            plane = plane[:1]
+        else:
+            plane[3, 5] = float(bad)
+        patch = make_patch(**{band: plane})
+        with pytest.raises(ShapeError, match=f"band {band}"):
+            if call == "compose_patch":
+                pp.compose_patch(patch, target=(8, 8))
+            else:
+                pp.normalize_sensor(patch, pp.PROFILES[patch.sensor])
 
 
 def save_planes(fmt, path, planes):
@@ -364,6 +401,17 @@ class TestPlaneFiles:
         with pytest.raises(ModelFormatError, match="sensor id 99 at offset 8"):
             pp.load_band_planes(path)
 
+    @pytest.mark.parametrize("sensor_id", [1, 255])
+    def test_composite_sensor_byte_must_be_zero(self, tmp_path, sensor_id):
+        path = tmp_path / "comp.vrc"
+        pp.save_composite(path, pp.RgbComposite(
+            pixels=np.zeros((3, 4, 4), dtype=np.float32), provenance="x"))
+        data = bytearray(path.read_bytes())
+        data[8] = sensor_id
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match=f"sensor id {sensor_id} at offset 8"):
+            pp.load_composite(path)
+
     @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
     def test_trailing_bytes_rejected(self, tmp_path, fmt):
         path = tmp_path / "planes.bin"
@@ -428,6 +476,35 @@ class TestPlaneFiles:
         with pytest.raises(ShapeError, match=f"planes.bin: {error}$"):
             save_planes(fmt, path, planes)
         assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
+    @pytest.mark.parametrize("value, error", [
+        (1e39, r"value 1e\+39 at index \(1, 0, 2\) overflows float32"),
+        (-1e39, r"value -1e\+39 at index \(1, 0, 2\) overflows float32"),
+        (2.0 ** 128 - 2.0 ** 103,  # the tie, which rounds to inf
+         r"value 3\.4028235677973366e\+38 at index \(1, 0, 2\) overflows float32"),
+    ], ids=["big", "-big", "tie"])
+    def test_writer_refuses_float64_values_past_float32(self, tmp_path, fmt, value, error):
+        # named as given: cast to float32 first, 1e39 would be an inf and a
+        # numpy overflow warning
+        planes = np.zeros((5 if fmt == "vbp1" else 3, 4, 4))
+        planes[1, 0, 2] = value
+        planes[2, 3, 3] = np.inf  # a later one is not the one named
+        path = tmp_path / "planes.bin"
+        with pytest.raises(ShapeError, match=f"planes.bin: {error}$"):
+            save_planes(fmt, path, planes)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
+    def test_writer_keeps_float64_values_that_round_to_float32_max(self, tmp_path, fmt):
+        # 2**128 - 2**103 is the least magnitude that rounds to inf
+        top = np.nextafter(2.0 ** 128 - 2.0 ** 103, 0.0)
+        planes = np.zeros((5 if fmt == "vbp1" else 3, 4, 4))
+        planes[1, 0, 2], planes[2, 3, 3] = top, -top
+        path = tmp_path / "planes.bin"
+        save_planes(fmt, path, planes)
+        back = load_planes(fmt, path)
+        assert back[1, 0, 2] == np.finfo(np.float32).max == -back[2, 3, 3]
 
     def test_band_planes_of_unequal_shape_refused(self, tmp_path):
         bands = [np.zeros((4, 4), dtype=np.float32) for _ in range(5)]
