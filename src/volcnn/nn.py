@@ -247,10 +247,16 @@ class Conv2d:
         # pixel q of a patch row read window columns q..q+kw-1: fold the p
         # diagonal blocks back to (kh, kw, C, K), then to (out, in, kh, kw)
         g = g.reshape(kh, p + kw - 1, C, p, K)
-        grad_w = g[:, :kw, :, 0]
+        taps = g[:, :kw, :, 0]
         for q in range(1, p):
-            grad_w = grad_w + g[:, q:q + kw, :, q]
-        grad_w = np.ascontiguousarray(grad_w.transpose(3, 2, 0, 1))
+            taps = taps + g[:, q:q + kw, :, q]
+        # one 2-D (C, K) transpose per tap: at 512 -> 512 the nine took
+        # 10.5 ms, where one 4-D transposed copy, reading C * K * 4 bytes
+        # apart, took 21.9 ms; below 256 channels both take under 0.6 ms
+        grad_w = np.empty((K, C, kh, kw), dtype=x.dtype)
+        for dy in range(kh):
+            for dx in range(kw):
+                grad_w[:, :, dy, dx] = taps[dy, dx].T
         grad_x = None
         if need_grad_input:
             flipped = self.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)

@@ -128,13 +128,17 @@ class BandPatch:
 
     def validate(self):
         """Return self; ShapeError, naming the band, unless every band has
-        blue's shape and only finite values."""
+        blue's shape and only finite values.  The first non-finite value is
+        named with its (row, col) index."""
         shape = self.blue.shape
         for name, b in zip(BAND_ORDER, self.bands()):
             if b.shape != shape:
                 raise ShapeError(f"band {name} shape {b.shape} != band blue shape {shape}")
-            if not np.all(np.isfinite(b)):
-                raise ShapeError(f"band {name} contains non-finite values")
+            finite = np.isfinite(b)
+            if not finite.all():
+                i = np.unravel_index(int(finite.argmin()), b.shape)
+                raise ShapeError(f"band {name} non-finite value {b[i]} "
+                                 f"at index {tuple(int(k) for k in i)}")
         return self
 
 
@@ -349,7 +353,10 @@ def _write_planes(path, magic, n_planes, planes, sensor_id):
         f.write(memoryview(planes))
 
 
-def _read_planes(path, magic, n_planes):
+def _read_planes(path, magic, n_planes, sensor_ids):
+    """(planes (n_planes, H, W) float32, sensor id) of a plane file whose
+    sensor byte is one of sensor_ids.  ModelFormatError names the offset
+    of the fault; the whole header is checked before the payload is read."""
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -359,6 +366,10 @@ def _read_planes(path, magic, n_planes):
             raise ModelFormatError(f"{path}: bad magic {got_magic!r} at offset 0")
         if H == 0 or W == 0:
             raise ModelFormatError(f"{path}: empty {H}x{W} planes at offset {len(magic)}")
+        if sensor_id not in sensor_ids:
+            raise ModelFormatError(
+                f"{path}: sensor id {sensor_id} at offset {_SENSOR_OFFSET}, "
+                f"expected {' or '.join(map(str, sensor_ids))}")
         arr = np.empty(n_planes * H * W, dtype="<f4")
         got = f.readinto(arr)
         if got != arr.nbytes:
@@ -395,12 +406,8 @@ def save_band_planes(path, patch: BandPatch):
 
 def load_band_planes(path):
     """Read a VBP1 file -> (planes (5, H, W) float32, Sensor)."""
-    planes, sensor_id = _read_planes(path, PATCH_MAGIC, 5)
-    try:
-        return planes, Sensor(sensor_id)
-    except ValueError:
-        raise ModelFormatError(f"{path}: unknown sensor id {sensor_id} "
-                               f"at offset {_SENSOR_OFFSET}") from None
+    planes, sensor_id = _read_planes(path, PATCH_MAGIC, 5, tuple(map(int, Sensor)))
+    return planes, Sensor(sensor_id)
 
 
 def save_composite(path, composite: RgbComposite):
@@ -417,8 +424,5 @@ def save_composite(path, composite: RgbComposite):
 
 def load_composite(path, provenance="") -> RgbComposite:
     """Read a VRC1 file; its sensor byte must be 0, as save_composite writes."""
-    planes, sensor_id = _read_planes(path, COMPOSITE_MAGIC, 3)
-    if sensor_id != 0:
-        raise ModelFormatError(f"{path}: composite sensor id {sensor_id} "
-                               f"at offset {_SENSOR_OFFSET}, expected 0")
+    planes, _ = _read_planes(path, COMPOSITE_MAGIC, 3, (0,))
     return RgbComposite(pixels=planes, provenance=provenance)

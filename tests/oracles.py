@@ -241,3 +241,25 @@ def splitmix64_reference(seed, n):
 def uniform_reference(seed, n):
     """Doubles in [0, 1) from the top 53 bits of each SplitMix64 output."""
     return [(z >> 11) / 2.0 ** 53 for z in splitmix64_reference(seed, n)]
+
+
+def smooth_field_reference(params, h, w, lo, hi):
+    """The synthetic generator's smooth field, one cosine per pixel and mode.
+
+    params holds 4 uniforms per mode (ky, kx, phase, amp, each before its
+    affine map).  Each mode adds amp * cos(2*pi*(ky*y + kx*x) + phase) at
+    every pixel, y = row / h and x = col / w, in mode order; the float64
+    sum is rescaled into [lo, hi] and cast to float32.
+    """
+    y, x = np.mgrid[0:h, 0:w]
+    yy, xx = y / h, x / w
+    field = np.zeros((h, w))
+    for m in range(len(params) // 4):
+        ky = 0.5 + 3.0 * params[4 * m]
+        kx = 0.5 + 3.0 * params[4 * m + 1]
+        phase = 2 * np.pi * params[4 * m + 2]
+        amp = 0.5 + params[4 * m + 3]
+        field += amp * np.cos(2 * np.pi * (ky * yy + kx * xx) + phase)
+    fmin, fmax = field.min(), field.max()
+    field = (field - fmin) / max(fmax - fmin, 1e-9)
+    return (lo + (hi - lo) * field).astype(np.float32)

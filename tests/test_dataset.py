@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -7,6 +8,8 @@ import pytest
 from volcnn import dataset as ds
 from volcnn.errors import CatalogError, InvalidParameterError
 from volcnn.tensor import RngStream
+
+from oracles import smooth_field_reference
 
 SIZE = 32  # small patches keep the synthetic tests fast
 
@@ -62,7 +65,35 @@ class TestManifest:
         assert [r[:3] for r in rows(8)] == [r[:3] for r in rows(7)]
 
 
+class TestSmoothField:
+    # the [lo, hi] ranges the generators ask for
+    RANGES = [(0.03, 0.22), (0.0, 1.0), (-0.4, 1.2), (0.6, 0.9), (0.02, 0.18)]
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (7, 5), (5, 7), (32, 48), (256, 256)])
+    def test_same_bits_as_per_pixel_cosines(self, h, w):
+        for seed in range(24):
+            lo, hi = self.RANGES[seed % len(self.RANGES)]
+            want = smooth_field_reference(RngStream(seed).uniform(16), h, w, lo, hi)
+            got = ds._smooth_field(RngStream(seed), h, w, lo, hi)
+            assert got.dtype == np.float32 and got.shape == (h, w)
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32),
+                                          err_msg=f"seed {seed}")
+
+
 class TestSynthGenerate:
+    # SHA-256 over the sorted (path, bytes) of synth_generate(2, seed=1,
+    # size=32), computed with the per-pixel cosine fields
+    DIGEST = "748a913f170725e143ffde96f633e19b419189de1fb36c738827ad043e3626e7"
+
+    def test_files_pinned(self, tmp_path):
+        ds.synth_generate(2, seed=1, out_dir=str(tmp_path), size=SIZE)
+        files = _tree_bytes(tmp_path)
+        h = hashlib.sha256()
+        for rel in sorted(files):
+            h.update(rel.encode() + b"\0" + files[rel])
+        assert len(files) == 8
+        assert h.hexdigest() == self.DIGEST
+
     def test_same_seed_gives_byte_identical_files(self, synth, tmp_path):
         root, _ = synth
         ds.synth_generate(10, seed=7, out_dir=str(tmp_path / "again"), size=SIZE)
@@ -116,14 +147,19 @@ class TestSampleMeta:
         (_meta_text(label=0.5), "label must be 0 or 1"),
         (_meta_text(date="2018-13-03"), "date must be an ISO date"),
         (_meta_text(date=20180503), "date must be an ISO date"),
+        # Python 3.11's date.fromisoformat takes the first two, 3.10's does not
+        (_meta_text(date="20180503"), "date must be an ISO date"),
+        (_meta_text(date="2018-W18-4"), "date must be an ISO date"),
+        (_meta_text(date="2018-5-3"), "date must be an ISO date"),
         (_meta_text(lat="19.4"), "lat must be a finite number"),
         (_meta_text(lon=float("nan")), "lon must be a finite number"),
         (_meta_text(subclass=5), "subclass must be a string"),
         (_meta_text(subclass=None), "missing key 'subclass'"),
     ], ids=["no-file", "meta-is-directory", "json", "not-utf8", "not-object",
             "missing-lon", "missing-label", "label-string", "label-two", "label-bool",
-            "label-float", "bad-month", "date-number", "lat-string", "lon-nan",
-            "subclass-number", "missing-subclass"])
+            "label-float", "bad-month", "date-number", "date-basic", "date-week",
+            "date-unpadded", "lat-string", "lon-nan", "subclass-number",
+            "missing-subclass"])
     @pytest.mark.parametrize("reader", ["load_sample", "build_manifest"])
     def test_malformed_meta_names_file_and_key(self, tmp_path, text, error, reader):
         manifest = ds.synth_generate(1, seed=1, out_dir=str(tmp_path), size=SIZE)

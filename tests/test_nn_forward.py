@@ -396,6 +396,25 @@ class TestConvBackwardOracle:
     def test_property_matches_reference(self, n, c, k, kh, kw, h, w, seed):
         _conv_against_reference(n, c, k, (kh, kw), h, w, seed)
 
+    @pytest.mark.parametrize("c, k", [(3, 16), (16, 32), (32, 64), (64, 128),
+                                      (128, 256), (256, 512), (512, 512)])
+    def test_grad_w_bits_at_full_net_channels(self, c, k):
+        # integers in [-2, 2] keep every float32 sum exact, so grad_w must
+        # equal the float64 tap sums bit for bit in any summation order; the
+        # width 8 gives p = 4, 2 and 1 across these channel counts
+        def ints(seed, *shape):
+            return (RngStream(seed).integers(int(np.prod(shape)), 5) - 2).reshape(shape)
+        x, gy = ints(c, 2, 4, 8, c), ints(k + 1, 2, 4, 8, k)
+        _, gw, _ = nn.Conv2d(c, k).backward_nhwc(x.astype(np.float32), gy.astype(np.float32),
+                                                 need_grad_input=False)
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        want = np.empty((k, c, 3, 3), dtype=np.float32)
+        for dy in range(3):
+            for dx in range(3):
+                want[:, :, dy, dx] = np.einsum("nhwk,nhwc->kc", gy, xp[:, dy:dy + 4, dx:dx + 8])
+        assert gw.flags.c_contiguous
+        np.testing.assert_array_equal(gw.view(np.uint32), want.view(np.uint32))
+
 
 class TestConvPixelBlocks:
     """A patch-matrix row covers p adjacent output pixels; p comes from the

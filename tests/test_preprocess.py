@@ -313,10 +313,13 @@ class TestPipeline:
         plane = np.full((8, 8), 0.1, dtype=np.float32)
         if bad == "row":
             plane = plane[:1]
+            error = f"band {band} shape"
         else:
             plane[3, 5] = float(bad)
+            plane[6, 0] = np.nan  # a later one is not the one named
+            error = rf"band {band} non-finite value {bad} at index \(3, 5\)$"
         patch = make_patch(**{band: plane})
-        with pytest.raises(ShapeError, match=f"band {band}"):
+        with pytest.raises(ShapeError, match=error):
             if call == "compose_patch":
                 pp.compose_patch(patch, target=(8, 8))
             else:
@@ -444,8 +447,20 @@ class TestPlaneFiles:
             planes[2, 3, 3] = value
             magic, load, i = pp.COMPOSITE_MAGIC, pp.load_composite, 18
         _, h, w = planes.shape
-        path.write_bytes(magic + struct.pack("<HHB", h, w, 2) + planes.tobytes())
+        sensor = 2 if fmt == "vbp1" else 0  # a sensor byte each reader accepts
+        path.write_bytes(magic + struct.pack("<HHB", h, w, sensor) + planes.tobytes())
         with pytest.raises(ModelFormatError, match=f"non-finite value .* at offset {9 + 4 * i}$"):
+            load(path)
+
+    @pytest.mark.parametrize("fmt, sensor", [("vbp1", 99), ("vrc1", 2)])
+    def test_bad_sensor_byte_named_before_the_payload(self, tmp_path, fmt, sensor):
+        # the header is checked before the payload is read: the NaN is not named
+        path = tmp_path / "planes.bin"
+        n, magic, load = ((5, pp.PATCH_MAGIC, pp.load_band_planes) if fmt == "vbp1"
+                          else (3, pp.COMPOSITE_MAGIC, pp.load_composite))
+        planes = np.full((n, 4, 4), np.nan, dtype="<f4")
+        path.write_bytes(magic + struct.pack("<HHB", 4, 4, sensor) + planes.tobytes())
+        with pytest.raises(ModelFormatError, match=f"sensor id {sensor} at offset 8, expected"):
             load(path)
 
     @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
