@@ -168,6 +168,35 @@ class TestGoldenDigest:
         assert h.hexdigest() == self.DIGESTS[seed]
 
 
+class TestResizeDigest:
+    """SHA-256 of bicubic_resize outputs, viewed as uint32, computed with the
+    two-pass resize that kept a full (C, th, W) float64 intermediate.  The
+    inputs run from -0.1 to 1.1, so the clip at both ends is covered; the
+    short case has bands of 5 rows, short at the end of both axes."""
+
+    DIGESTS = {
+        1: "3b885eb72dc549de4e1561284935e47f9e1f2791b945c877e7bb51be3645fbde",
+        2: "f98b72e75efaed491b9b8bd1f9717c271a0184f86466dc14abc5d79ed51a8a4f",
+        3: "275ea460be47b0bdca104f31e78c958f760363716979e5165264046c46318376",
+    }
+    SHORT_BANDS_DIGEST = "a1fbcfab18a9b76ff8388ab18c0f9be1fcce3866ffe4c7c676bcc463606b3f23"
+
+    @staticmethod
+    def _digest(out):
+        assert out.dtype == np.float32
+        return hashlib.sha256(out.view(np.uint32).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_composite_size_digest_pinned(self, seed):
+        img = TestBicubicResize._image(seed, (3, 256, 256))
+        assert self._digest(pp.bicubic_resize(img)) == self.DIGESTS[seed]
+
+    def test_short_bands_digest_pinned(self, monkeypatch):
+        monkeypatch.setattr(pp, "_RESIZE_BAND", 5)
+        img = TestBicubicResize._image(4, (2, 17, 23))
+        assert self._digest(pp.bicubic_resize(img, target=(29, 12))) == self.SHORT_BANDS_DIGEST
+
+
 class TestGaussianNoise:
     def test_sigma_zero_identity(self):
         img = RngStream(1).uniform(48).reshape(3, 4, 4).astype(np.float32)
