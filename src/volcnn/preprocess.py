@@ -62,10 +62,12 @@ COMPOSITE_SIZE = (512, 512)
 ALPHA = 2.5
 SWIR_FLOOR = 0.1
 CUBIC_A = -0.75
-# Output rows per resampling-matrix band in bicubic_resize. Short bands pay
-# a matmul call each; tall ones span more source rows and multiply more
-# zeros. A 3x256^2 -> 512^2 resize (one BLAS thread) took 2.8 ms at 16 rows,
-# 2.5 ms at 32, 2.7 ms at 64 and 3.8 ms at 128.
+# Output indices per resampling-matrix band in bicubic_resize, on both axes.
+# Short bands pay a matmul call each; tall ones span more source indices
+# and multiply more zeros, and the fused row band's buffers outgrow the
+# cache.  A 3x256^2 -> 512^2 resize (one BLAS thread, 2-vCPU host, p10 of
+# 40 calls) took 16.7 ms at 8, 8.1 ms at 16, 5.3 ms at 32, 5.7 ms at 64
+# and 8.9 ms at 128.
 _RESIZE_BAND = 32
 
 BAND_ORDER = ("blue", "green", "red", "swir1", "swir2")
@@ -127,13 +129,22 @@ class BandPatch:
         return (self.blue, self.green, self.red, self.swir1, self.swir2)
 
     def validate(self):
-        """Return self; ShapeError, naming the band, unless every band has
-        blue's shape and only finite values.  The first non-finite value is
-        named with its (row, col) index."""
-        shape = self.blue.shape
+        """Return self; ShapeError, naming the band, unless every band is a
+        2-d (H, W) plane of one shared shape with only finite values.  A
+        band whose shape differs from that of most bands is named, with
+        every band's shape; the first non-finite value is named with its
+        (row, col) index."""
+        shapes = [np.shape(b) for b in self.bands()]
+        for name, shape in zip(BAND_ORDER, shapes):
+            if len(shape) != 2:
+                raise ShapeError(f"band {name} shape {shape} is not (H, W)")
+        common = max(shapes, key=shapes.count)
+        for name, shape in zip(BAND_ORDER, shapes):
+            if shape != common:
+                listing = ", ".join(f"{n} {s}" for n, s in zip(BAND_ORDER, shapes))
+                raise ShapeError(f"band {name} shape {shape} differs from the "
+                                 f"other bands; shapes: {listing}")
         for name, b in zip(BAND_ORDER, self.bands()):
-            if b.shape != shape:
-                raise ShapeError(f"band {name} shape {b.shape} != band blue shape {shape}")
             finite = np.isfinite(b)
             if not finite.all():
                 i = np.unravel_index(int(finite.argmin()), b.shape)
@@ -171,13 +182,20 @@ def merge_bands(patch: BandPatch) -> np.ndarray:
 
     Returns (3, H, W) float32 clipped to [0, 1], channels (RED, GREEN, BLUE).
     The patch is validated first: the clip would hide an inf, and a band of
-    another shape would broadcast.
+    another shape would broadcast.  Each channel is computed in float32, as
+    the float32 bands of normalize_sensor and the plane readers give it,
+    straight into its plane of the output.
     """
     patch.validate()
-    red = ALPHA * patch.red + np.maximum(0.0, patch.swir2 - SWIR_FLOOR)
-    green = ALPHA * patch.green + np.maximum(0.0, patch.swir1 - SWIR_FLOOR)
-    blue = ALPHA * patch.blue
-    out = np.stack([red, green, blue]).astype(np.float32)
+    out = np.empty((3,) + patch.blue.shape, dtype=np.float32)
+    hot = np.empty(patch.blue.shape, dtype=np.float32)
+    for plane, visible, swir in zip(out, (patch.red, patch.green, patch.blue),
+                                    (patch.swir2, patch.swir1, None)):
+        np.multiply(ALPHA, visible, out=plane)
+        if swir is not None:
+            np.subtract(swir, SWIR_FLOOR, out=hot)
+            np.maximum(0.0, hot, out=hot)
+            plane += hot
     return np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -224,13 +242,19 @@ def bicubic_resize(image: np.ndarray, target=COMPOSITE_SIZE) -> np.ndarray:
     """Cubic-convolution resample of (C, H, W) to (C, *target), clipped to [0, 1].
 
     Separable: each axis is a (dst, src) resampling matrix with four taps
-    per row, edge taps clamped onto the border pixel. Rows go first, then
-    columns. Each pass is a float64 matmul per band of 32 output rows
+    per row, edge taps clamped onto the border pixel.  Both passes are
+    float64 matmuls per band of at most _RESIZE_BAND output indices,
     against only the source span that band reaches, so the zeros of the
-    matrix are mostly skipped; 32 rows measured fastest (see
-    _RESIZE_BAND). Each column band is clipped and cast to float32 once,
-    straight into the output. At target == source size the sample grid
-    lands exactly on the input grid and the output equals the input.
+    matrix are mostly skipped.  The passes are fused per band of output
+    rows: the row pass writes the band's (C, n, W) rows into a small
+    buffer, and each column band is one 2-D matmul of its (C*n, span)
+    slice of that buffer against a contiguous copy of the band's
+    transposed matrix, written into a (C*n, tw) buffer.  That buffer is
+    clipped in place and cast to float32 once, whole rows at a time, into
+    the output.  Every output value is the same float64 dot product over
+    the same taps as in two whole-image passes, and no (C, th, W)
+    intermediate is made.  At target == source size the sample grid lands
+    exactly on the input grid and the output equals the input.
     """
     if image.ndim != 3:
         raise ShapeError(f"expected (C, H, W), got {image.shape}")
@@ -239,12 +263,23 @@ def bicubic_resize(image: np.ndarray, target=COMPOSITE_SIZE) -> np.ndarray:
     if H < 4 or W < 4:
         raise ShapeError(f"input too small for bicubic resize: {H}x{W} (need >= 4x4)")
     x = image.astype(np.float64)
-    rows = np.empty((C, th, W))
-    for dst, src, block in _axis_bands(H, th):
-        np.matmul(block, x[:, src, :], out=rows[:, dst, :])
+    cols = [(dst, src, np.ascontiguousarray(block.T))
+            for dst, src, block in _axis_bands(W, tw)]
+    # Band views are cut from flat buffers: a slice of the rows of a
+    # (C, band, W) array is not contiguous, and reshaping it would copy.
+    band = min(_RESIZE_BAND, th)
+    rows_buf, cols_buf = np.empty(C * band * W), np.empty(C * band * tw)
     out = np.empty((C, th, tw), dtype=np.float32)
-    for dst, src, block in _axis_bands(W, tw):
-        np.clip(rows[:, :, src] @ block.T, 0.0, 1.0, out=out[:, :, dst])
+    for dst, src, block in _axis_bands(H, th):
+        n = dst.stop - dst.start
+        rows = rows_buf[:C * n * W].reshape(C, n, W)
+        np.matmul(block, x[:, src, :], out=rows)
+        rows = rows.reshape(C * n, W)
+        res = cols_buf[:C * n * tw].reshape(C * n, tw)
+        for cdst, csrc, cblock in cols:
+            np.matmul(rows[:, csrc], cblock, out=res[:, cdst])
+        np.clip(res, 0.0, 1.0, out=res)
+        out[:, dst] = res.reshape(C, n, tw)
     return out
 
 

@@ -1,6 +1,7 @@
 import datetime
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,19 @@ class TestBicubicResize:
     def test_too_small_rejected(self):
         with pytest.raises(ShapeError):
             pp.bicubic_resize(np.zeros((1, 3, 8), dtype=np.float32))
+
+    def test_warm_composite_resize_peak(self):
+        # Input 0.75 MiB, float64 copy 1.5, output 3, one resampling matrix
+        # 1; a full (3, 512, 256) float64 intermediate (3 MiB) would not fit.
+        img = self._image(0, (3, 256, 256))
+        pp.bicubic_resize(img)
+        tracemalloc.start()
+        try:
+            pp.bicubic_resize(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 << 20
 
     @staticmethod
     def _image(seed, shape):
@@ -353,6 +367,24 @@ class TestPipeline:
                 pp.compose_patch(patch, target=(8, 8))
             else:
                 pp.normalize_sensor(patch, pp.PROFILES[patch.sensor])
+
+
+    def test_mis_shaped_blue_named_with_every_shape(self):
+        # blue was the reference shape, so a mis-shaped blue was reported
+        # as the next band, green
+        patch = make_patch(blue=np.full((1, 8), 0.1))
+        error = (r"^band blue shape \(1, 8\) differs from the other bands; shapes: "
+                 r"blue \(1, 8\), green \(8, 8\), red \(8, 8\), "
+                 r"swir1 \(8, 8\), swir2 \(8, 8\)$")
+        with pytest.raises(ShapeError, match=error):
+            patch.validate()
+
+    @pytest.mark.parametrize("call", ["validate", "preprocess_raw"])
+    def test_bands_must_be_planes(self, call):
+        # five (2, 8, 8) bands agree in shape; only the resize refused them
+        patch = make_patch(**{name: np.full((2, 8, 8), 0.1) for name in pp.BAND_ORDER})
+        with pytest.raises(ShapeError, match=r"^band blue shape \(2, 8, 8\) is not \(H, W\)$"):
+            patch.validate() if call == "validate" else pp.preprocess_raw(patch)
 
 
 def save_planes(fmt, path, planes):
