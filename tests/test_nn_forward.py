@@ -184,6 +184,28 @@ class TestBatchNorm2d:
         _, _, gb = layer.backward_nhwc(cache, gy)
         np.testing.assert_allclose(gb, gy.sum(axis=(0, 1, 2)), rtol=1e-12)
 
+    def test_train_statistics_match_float64_on_a_full_size_map(self):
+        # b0's shape in training: a float32 sum in order over the 1M values
+        # of a channel read the variance 4.8e-4 and grad_gamma 2.2e-4 off
+        # float64, relative
+        gen = np.random.default_rng(0)
+        shape = (4, 512, 512, 16)
+        x = 0.3 + 0.5 * gen.standard_normal(shape, dtype=np.float32)
+        gy = gen.standard_normal(shape, dtype=np.float32)
+        layer = nn.BatchNorm2d(16)
+        eps = layer.epsilon
+        _, cache = layer.forward_train_nhwc(x)
+        inv = cache[2]
+        _, g_gamma, _ = layer.backward_nhwc(cache, gy)
+        cnt = x.size // 16
+        mean = np.einsum("nhwc->c", x, dtype=np.float64) / cnt
+        var = np.einsum("nhwc,nhwc->c", x, x, dtype=np.float64) / cnt - mean ** 2
+        var_got = 1.0 / np.square(inv.astype(np.float64)) - eps
+        assert np.abs(var_got - var).max() / var.max() <= 1e-6
+        want = ((np.einsum("nhwc,nhwc->c", gy, x, dtype=np.float64)
+                 - mean * np.einsum("nhwc->c", gy, dtype=np.float64)) / np.sqrt(var + eps))
+        assert np.abs(g_gamma - want).max() / np.abs(want).max() <= 1e-6
+
     @pytest.mark.parametrize("shape", [(2, 3, 1, 4), (2, 3, 5, 1), (3, 4, 6, 5)],
                              ids=["W=1", "C=1", "W=6,C=5"])
     def test_tiled_ops_match_broadcast_formula_bitwise(self, shape):
@@ -208,12 +230,12 @@ class TestBatchNorm2d:
 
         mean = (np.einsum("nhwc->c", x, dtype=np.float64) / cnt).astype(np.float32)
         d = x - mean
-        inv = (1.0 / np.sqrt(np.einsum("nhwc,nhwc->c", d, d) / cnt + eps)).astype(np.float32)
+        inv = (1.0 / np.sqrt(_band_sums(d, d) / cnt + eps)).astype(np.float32)
         want.append(d * (layer.gamma * inv) + layer.beta)
         y, cache = layer.forward_train_nhwc(x)
         got.append(y)
 
-        g_gamma = (np.einsum("nhwc,nhwc->c", gy, d) * inv).astype(np.float32)
+        g_gamma = (_band_sums(gy, d) * inv).astype(np.float32)
         g_beta = np.einsum("nhwc->c", gy, dtype=np.float64).astype(np.float32)
         A = layer.gamma * inv
         B = (-A * inv * g_gamma / cnt).astype(np.float32)
@@ -324,6 +346,21 @@ def _bits(dtype):
 
 def _gauss32(seed, *shape):
     return RngStream(seed).gaussian32(int(np.prod(shape))).reshape(shape)
+
+
+def _band_sums(a, b, rows=None):
+    """Per-channel sums of a * b over (N, H, W, C) maps as train-mode
+    batchnorm takes them: a sum in the maps' dtype over each band of `rows`
+    rows of the (N*H, W*C) view (one band of all rows by default), and the
+    band sums added in float64."""
+    N, H, W, C = a.shape
+    rows = rows or N * H
+    a, b = a.reshape(N * H, W * C), b.reshape(N * H, W * C)
+    total = np.zeros(C)
+    for r in range(0, N * H, rows):
+        total += np.einsum("ic,ic->c", a[r:r + rows].reshape(-1, C),
+                           b[r:r + rows].reshape(-1, C))
+    return total
 
 
 class TestMaxPoolOracle:
@@ -560,8 +597,11 @@ class TestConvRowBands:
 class TestPassBands:
     """Batchnorm, the relu backward and the pool backward work through a
     full-size map one band of rows at a time; a band edge must not change a
-    bit.  The budget is cut to `rows` rows of W*C values (row pairs for the
-    pool), so over the 14 rows of every case 4 leaves a short last band."""
+    bit of an element-wise output.  Batchnorm's variance and grad_gamma are
+    summed per band and the band sums added in float64, so the formulas take
+    their sums over the same bands.  The budget is cut to `rows` rows of W*C
+    values (row pairs for the pool), so over the 14 rows of every case 4
+    leaves a short last band."""
 
     N, H, W, C = 2, 7, 6, 3
     dtypes = pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -587,10 +627,9 @@ class TestPassBands:
 
         mean = (np.einsum("nhwc->c", x, dtype=np.float64) / cnt).astype(dtype)
         d = x - mean
-        inv = (1.0 / np.sqrt(np.einsum("nhwc,nhwc->c", d, d) / cnt + layer.epsilon)
-               ).astype(dtype)
+        inv = (1.0 / np.sqrt(_band_sums(d, d, rows) / cnt + layer.epsilon)).astype(dtype)
         A = layer.gamma * inv
-        g_gamma = (np.einsum("nhwc,nhwc->c", gy, d) * inv).astype(dtype)
+        g_gamma = (_band_sums(gy, d, rows) * inv).astype(dtype)
         g_beta = np.einsum("nhwc->c", gy, dtype=np.float64).astype(dtype)
         B = (-A * inv * g_gamma / cnt).astype(dtype)
         Cc = (-A * g_beta / cnt).astype(dtype)
