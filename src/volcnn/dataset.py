@@ -40,6 +40,9 @@ PATCH_FILENAME = "bands.vbp"
 META_FILENAME = "meta.json"
 
 SYNTH_PATCH_SIZE = 256
+# cosine modes per smooth field, and the width of the terrain's uniform speckle
+_FIELD_MODES = 4
+_SPECKLE_AMP = 0.01
 
 # train, val, test: floors of the first two per class (val at least one
 # when two or more are left), the remainder is test
@@ -162,8 +165,8 @@ def _grid(h, w):
     return y / h, x / w
 
 
-def _smooth_field(rng, h, w, lo, hi, modes=4):
-    """Sum of random low-frequency cosines rescaled into [lo, hi].
+def _smooth_field(rng, h, w, lo, hi):
+    """Sum of _FIELD_MODES random low-frequency cosines rescaled into [lo, hi].
 
     Mode m is amp * cos(A + B) with A = 2*pi*ky*y + phase and
     B = 2*pi*kx*x, for y = row / h and x = col / w.  Since
@@ -176,7 +179,7 @@ def _smooth_field(rng, h, w, lo, hi, modes=4):
     fields have matched bit for bit on every seed and shape tested.
     """
     yy, xx = _grid(h, w)
-    params = rng.uniform(4 * modes).reshape(modes, 4)
+    params = rng.uniform(4 * _FIELD_MODES).reshape(_FIELD_MODES, 4)
     ky = 0.5 + 3.0 * params[:, 0]
     kx = 0.5 + 3.0 * params[:, 1]
     phase = 2 * np.pi * params[:, 2]
@@ -191,8 +194,8 @@ def _smooth_field(rng, h, w, lo, hi, modes=4):
     return (lo + (hi - lo) * field).astype(np.float32)
 
 
-def _speckle(rng, h, w, amp=0.01):
-    return (amp * (rng.uniform(h * w).reshape(h, w) - 0.5)).astype(np.float32)
+def _speckle(rng, h, w):
+    return (_SPECKLE_AMP * (rng.uniform(h * w).reshape(h, w) - 0.5)).astype(np.float32)
 
 
 def _disk(rng, h, w, r_lo, r_hi, value_lo, value_hi):
@@ -378,7 +381,7 @@ def _read_meta(sample_dir):
         raise CatalogError(f"{path}: cannot read: {e.strerror}") from None
     try:
         meta = json.loads(data)
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8; nesting too deep
         raise CatalogError(f"{path}: malformed JSON: {e}") from None
     if not isinstance(meta, dict):
         raise CatalogError(f"{path}: expected a JSON object")
@@ -410,8 +413,6 @@ def load_sample(sample: Sample):
     """Read a sample directory back into (BandPatch, label, subclass)."""
     planes, sensor = pp.load_band_planes(os.path.join(sample.path, PATCH_FILENAME))
     lat, lon, date, label, subclass = _read_meta(sample.path)
-    patch = pp.BandPatch(
-        blue=planes[0], green=planes[1], red=planes[2],
-        swir1=planes[3], swir2=planes[4], sensor=sensor,
-        center_lat=lat, center_lon=lon, acquired=date)
+    patch = pp.BandPatch(*planes, sensor=sensor, center_lat=lat, center_lon=lon,
+                         acquired=date)
     return patch, label, subclass

@@ -10,19 +10,14 @@ class VolcError(Exception):
 
 
 class ShapeError(VolcError):
-    """Invalid tensor shape, or shapes that do not match an operation's contract."""
+    """Invalid tensor shape, or shapes that do not match an operation's
+    contract; a batch of one, on which train-mode batchnorm has no batch
+    statistics, is one."""
 
 
 class InvalidParameterError(VolcError):
-    """A numeric argument is outside its allowed range."""
-
-
-class DegenerateBatchError(VolcError):
-    """Batch statistics requested on a batch too small to define them."""
-
-
-class ProfileError(VolcError):
-    """Sensor profile does not match the patch it was applied to."""
+    """An argument is outside its allowed values: a range, a mode string,
+    a missing RngStream, or a sensor profile that does not fit its patch."""
 
 
 class CatalogError(VolcError):

@@ -102,11 +102,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    DegenerateBatchError,
-    InvalidParameterError,
-    ShapeError,
-)
+from .errors import InvalidParameterError, ShapeError
 from .tensor import DEFAULT_DTYPE, RngStream
 
 BCE_CLAMP = 1e-7
@@ -124,6 +120,12 @@ def _nhwc(shape):
     if len(shape) != 4:
         raise ShapeError(f"expected 4-d (N, H, W, C) input, got shape {tuple(shape)}")
     return shape
+
+
+def _same_shape(name, shape, other, want):
+    """ShapeError, naming both arrays and both shapes, unless shape == want."""
+    if shape != want:
+        raise ShapeError(f"{name} {shape} does not match {other} {want}")
 
 
 def _rows(x):
@@ -237,9 +239,7 @@ class Conv2d:
         """Gradients of forward_nhwc: (grad_input or None, grad_weights, grad_bias)."""
         N, H, W, C = self._check(x)
         K, _, kh, kw = self.weights.shape
-        if grad_out.shape != (N, H, W, K):
-            raise ShapeError(f"grad_out {grad_out.shape} does not match input "
-                             f"{x.shape} through weights {self.weights.shape}")
+        _same_shape("grad_out", grad_out.shape, "output", (N, H, W, K))
         p = _block_width(C, W)
         g = np.zeros((kh * (p + kw - 1) * C, p * K), dtype=x.dtype)
         grad_b = np.einsum("nhwc->c", grad_out, dtype=np.float64).astype(x.dtype)
@@ -317,7 +317,8 @@ class BatchNorm2d:
         self._check(x)
         N, H, W, _ = x.shape
         if N < 2:
-            raise DegenerateBatchError("train-mode batchnorm needs batch size >= 2")
+            raise ShapeError(f"train-mode batchnorm needs batch size >= 2, "
+                             f"got input {x.shape}")
         cnt = N * H * W
         # Centre before squaring: E[x^2] - E[x]^2 cancels in float32 once the
         # channel mean is large against its spread.
@@ -351,8 +352,7 @@ class BatchNorm2d:
 
     def backward_nhwc(self, cache, grad_out):
         x, mean, inv = cache
-        if grad_out.shape != x.shape:
-            raise ShapeError(f"grad_out {grad_out.shape} does not match input {x.shape}")
+        _same_shape("grad_out", grad_out.shape, "input", x.shape)
         N, H, W, _ = x.shape
         cnt = N * H * W
         grad_beta = np.einsum("nhwc->c", grad_out, dtype=np.float64)
@@ -404,9 +404,8 @@ class Dense:
 
     def backward(self, x, grad_out):
         self._check_input(x)
-        if grad_out.shape != (x.shape[0], self.weights.shape[0]):
-            raise ShapeError(f"grad_out {grad_out.shape} does not match input "
-                             f"{x.shape} through weights {self.weights.shape}")
+        _same_shape("grad_out", grad_out.shape, "output",
+                    (x.shape[0], self.weights.shape[0]))
         grad_w = grad_out.T @ x
         grad_b = grad_out.sum(axis=0)
         grad_x = grad_out @ self.weights
@@ -436,8 +435,7 @@ class Dropout:
     def backward(self, mask, grad_out):
         if mask is None:
             return grad_out
-        if grad_out.shape != mask.shape:
-            raise ShapeError(f"grad_out {grad_out.shape} does not match mask {mask.shape}")
+        _same_shape("grad_out", grad_out.shape, "mask", mask.shape)
         return grad_out * mask
 
 
@@ -452,8 +450,7 @@ def relu(x):
 
 def relu_backward(y, grad_out):
     """Backward through relu given its output y (y > 0 iff input was > 0)."""
-    if grad_out.shape != y.shape:
-        raise ShapeError(f"grad_out {grad_out.shape} does not match output {y.shape}")
+    _same_shape("grad_out", grad_out.shape, "output", y.shape)
     out = np.empty(y.shape, dtype=grad_out.dtype)
     flat_y, flat_g, flat_out = y.reshape(-1), grad_out.reshape(-1), out.reshape(-1)
     for b in _bands(y.size, y.itemsize, _PASS_BYTES):
@@ -486,8 +483,7 @@ def maxpool2x2_backward_nhwc(cache, grad_out):
     whose maximum is NaN routes its gradient nowhere.
     """
     x, y = cache
-    if grad_out.shape != y.shape:
-        raise ShapeError(f"grad_out {grad_out.shape} does not match pooled {y.shape}")
+    _same_shape("grad_out", grad_out.shape, "pooled output", y.shape)
     N, H, W, C = x.shape
     gx = np.empty(x.shape, dtype=grad_out.dtype)
     # Mask the bit patterns, not the floats: a negative gradient times 0.0
@@ -518,9 +514,7 @@ def gap_forward_nhwc(x):
 
 def gap_backward_nhwc(input_shape, grad_out):
     N, H, W, C = _nhwc(input_shape)
-    if grad_out.shape != (N, C):
-        raise ShapeError(f"grad_out {grad_out.shape} does not match pooled "
-                         f"output {(N, C)}")
+    _same_shape("grad_out", grad_out.shape, "pooled output", (N, C))
     g = (grad_out / (H * W)).astype(grad_out.dtype)
     return np.broadcast_to(g[:, None, None, :], input_shape).copy()
 
@@ -536,8 +530,7 @@ def sigmoid(x):
 
 def sigmoid_backward(y, grad_out):
     """Backward through sigmoid given its output y."""
-    if grad_out.shape != y.shape:
-        raise ShapeError(f"grad_out {grad_out.shape} does not match output {y.shape}")
+    _same_shape("grad_out", grad_out.shape, "output", y.shape)
     return grad_out * y * (1.0 - y)
 
 
@@ -547,9 +540,7 @@ def bce_loss(predictions, labels):
     Predictions are clamped to [1e-7, 1 - 1e-7] before the logs; the
     gradient is zero where the clamp was active.
     """
-    if predictions.shape != labels.shape:
-        raise ShapeError(
-            f"predictions {predictions.shape} vs labels {labels.shape}")
+    _same_shape("predictions", predictions.shape, "labels", labels.shape)
     p = np.clip(predictions, BCE_CLAMP, 1.0 - BCE_CLAMP)
     y = labels
     loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
@@ -596,8 +587,7 @@ class Adam:
         c1 = 1.0 / (1.0 - b1 ** t)
         c2 = 1.0 / (1.0 - b2 ** t)
         for p, g, m, v in zip(params, grads, self.first_moment, self.second_moment):
-            if p.shape != g.shape:
-                raise ShapeError(f"param {p.shape} vs grad {g.shape}")
+            _same_shape("grad", g.shape, "param", p.shape)
             num, den = np.empty_like(m), np.empty_like(m)
             m *= b1
             m += np.multiply(g, 1.0 - b1, out=num)

@@ -45,17 +45,12 @@ from __future__ import annotations
 import datetime
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
 
-from .errors import (
-    InvalidParameterError,
-    ModelFormatError,
-    ProfileError,
-    ShapeError,
-)
+from .errors import InvalidParameterError, ModelFormatError, ShapeError
 from .tensor import RngStream
 
 COMPOSITE_SIZE = (512, 512)
@@ -167,14 +162,13 @@ def normalize_sensor(raw: BandPatch, profile: SensorProfile) -> BandPatch:
     """
     raw.validate()
     if raw.sensor != profile.sensor:
-        raise ProfileError(
+        raise InvalidParameterError(
             f"patch sensor {raw.sensor.name} != profile {profile.sensor.name}")
     out = {}
     for name, band, s, o in zip(BAND_ORDER, raw.bands(), profile.scale, profile.offset):
         out[name] = np.clip(band.astype(np.float32) * np.float32(s) + np.float32(o),
                             0.0, 1.0)
-    return BandPatch(sensor=raw.sensor, center_lat=raw.center_lat,
-                     center_lon=raw.center_lon, acquired=raw.acquired, **out)
+    return replace(raw, **out)
 
 
 def merge_bands(patch: BandPatch) -> np.ndarray:
@@ -391,7 +385,8 @@ def _write_planes(path, magic, n_planes, planes, sensor_id):
 def _read_planes(path, magic, n_planes, sensor_ids):
     """(planes (n_planes, H, W) float32, sensor id) of a plane file whose
     sensor byte is one of sensor_ids.  ModelFormatError names the offset
-    of the fault; the whole header is checked before the payload is read."""
+    of the fault; the whole header, and the file's size against it, is
+    checked before the payload is allocated or read."""
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -405,7 +400,15 @@ def _read_planes(path, magic, n_planes, sensor_ids):
             raise ModelFormatError(
                 f"{path}: sensor id {sensor_id} at offset {_SENSOR_OFFSET}, "
                 f"expected {' or '.join(map(str, sensor_ids))}")
+        end = _HEADER.size + 4 * n_planes * H * W
+        # the header alone can claim 80 GiB: check the size before allocating
+        size = os.fstat(f.fileno()).st_size
+        if size < end:
+            raise ModelFormatError(f"{path}: truncated planes at offset {size}")
+        if size > end:
+            raise ModelFormatError(f"{path}: trailing bytes at offset {end}")
         arr = np.empty(n_planes * H * W, dtype="<f4")
+        # the file can change size between the fstat and the read
         got = f.readinto(arr)
         if got != arr.nbytes:
             raise ModelFormatError(

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from volcnn import dataset as ds
-from volcnn.errors import CatalogError, InvalidParameterError
+from volcnn.errors import CatalogError, InvalidParameterError, MissingClassError
 from volcnn.tensor import RngStream
 
 from oracles import smooth_field_reference
@@ -137,6 +138,8 @@ class TestSampleMeta:
         (None, "missing file"),
         (IsADirectoryError, "cannot read: Is a directory"),
         ('{"lat": 19.4,', "malformed JSON"),
+        # json.loads raised RecursionError on this
+        ("[" * 100000 + "]" * 100000, "malformed JSON"),
         (b'{"subclass": "\xe9"}', "malformed JSON"),
         ("[19.4, -155.3]", "expected a JSON object"),
         (_meta_text(lon=None), "missing key 'lon'"),
@@ -155,7 +158,7 @@ class TestSampleMeta:
         (_meta_text(lon=float("nan")), "lon must be a finite number"),
         (_meta_text(subclass=5), "subclass must be a string"),
         (_meta_text(subclass=None), "missing key 'subclass'"),
-    ], ids=["no-file", "meta-is-directory", "json", "not-utf8", "not-object",
+    ], ids=["no-file", "meta-is-directory", "json", "json-deep", "not-utf8", "not-object",
             "missing-lon", "missing-label", "label-string", "label-two", "label-bool",
             "label-float", "bad-month", "date-number", "date-basic", "date-week",
             "date-unpadded", "lat-string", "lon-nan", "subclass-number",
@@ -179,6 +182,22 @@ class TestSampleMeta:
                 ds.load_sample(sample)
             else:
                 ds.build_manifest(str(tmp_path))
+
+
+class TestMissingClass:
+    def test_manifest_of_one_class_rejected(self, tmp_path):
+        manifest = ds.synth_generate(2, seed=1, out_dir=str(tmp_path), size=SIZE)
+        for s in manifest.samples:
+            if s.label == ds.LABEL_NO_ERUPTION:
+                shutil.rmtree(s.path)
+        with pytest.raises(MissingClassError, match=r"need both classes .* labels \[1\]"):
+            ds.build_manifest(str(tmp_path))
+
+    def test_balanced_batches_of_one_class_rejected(self, synth):
+        _, manifest = synth
+        train = [s for s in manifest.split("train") if s.label == ds.LABEL_ERUPTION]
+        with pytest.raises(MissingClassError, match="both classes in train"):
+            ds.balanced_batches(train, 4, 8, RngStream(0))
 
 
 class TestBalancedBatches:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from volcnn import dataset as ds
 from volcnn import preprocess as pp
-from volcnn.errors import InvalidParameterError, ModelFormatError, ProfileError, ShapeError
+from volcnn.errors import InvalidParameterError, ModelFormatError, ShapeError
 from volcnn.tensor import RngStream
 
 from oracles import bicubic_resize_reference
@@ -42,7 +42,8 @@ class TestNormalizeSensor:
 
     def test_sensor_mismatch(self):
         raw = make_patch(sensor=pp.Sensor.LANDSAT7)
-        with pytest.raises(ProfileError):
+        with pytest.raises(InvalidParameterError,
+                           match="patch sensor LANDSAT7 != profile SENTINEL2"):
             pp.normalize_sensor(raw, pp.PROFILES[pp.Sensor.SENTINEL2])
 
 
@@ -533,6 +534,23 @@ class TestPlaneFiles:
         path.write_bytes(magic + struct.pack("<HHB", h, w, 2))
         with pytest.raises(ModelFormatError, match=f"empty {h}x{w} planes at offset 4"):
             load(path)
+
+    @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
+    def test_size_checked_before_the_planes_are_allocated(self, tmp_path, fmt):
+        # a bare header claiming 65535x65535 planes: 80 GiB as VBP1, 48 GiB
+        # as VRC1, which np.empty refused with a MemoryError
+        path = tmp_path / "planes.bin"
+        magic, load = ((pp.PATCH_MAGIC, pp.load_band_planes) if fmt == "vbp1"
+                       else (pp.COMPOSITE_MAGIC, pp.load_composite))
+        path.write_bytes(magic + struct.pack("<HHB", 0xFFFF, 0xFFFF, 0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match="truncated planes at offset 9$"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
     @pytest.mark.parametrize("shape, error", [
