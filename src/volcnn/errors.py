@@ -30,6 +30,7 @@ class MissingClassError(VolcError):
 
 
 class ModelFormatError(VolcError):
-    """A VBP1 or VRC1 plane file is not parseable: bad magic, truncation,
-    trailing bytes, an empty plane, an unknown sensor id or a non-finite
-    value; the message names the byte offset."""
+    """A VBP1 or VRC1 plane file cannot be read or is not parseable: no
+    file, a path that cannot be read (a directory, say), bad magic,
+    truncation, trailing bytes, an empty plane, an unknown sensor id or a
+    non-finite value; the message names the OS error or the byte offset."""

@@ -248,11 +248,16 @@ def bicubic_resize(image: np.ndarray, target=COMPOSITE_SIZE) -> np.ndarray:
     the output.  Every output value is the same float64 dot product over
     the same taps as in two whole-image passes, and no (C, th, W)
     intermediate is made.  At target == source size the sample grid lands
-    exactly on the input grid and the output equals the input.
+    exactly on the input grid and the output equals the input.  A target
+    other than two positive ints raises InvalidParameterError before
+    anything is allocated.
     """
     if image.ndim != 3:
         raise ShapeError(f"expected (C, H, W), got {image.shape}")
     C, H, W = image.shape
+    if not (isinstance(target, (tuple, list)) and len(target) == 2
+            and all(isinstance(t, (int, np.integer)) and t > 0 for t in target)):
+        raise InvalidParameterError(f"target must be two positive ints, got {target!r}")
     th, tw = target
     if H < 4 or W < 4:
         raise ShapeError(f"input too small for bicubic resize: {H}x{W} (need >= 4x4)")
@@ -385,37 +390,41 @@ def _write_planes(path, magic, n_planes, planes, sensor_id):
 def _read_planes(path, magic, n_planes, sensor_ids):
     """(planes (n_planes, H, W) float32, sensor id) of a plane file whose
     sensor byte is one of sensor_ids.  ModelFormatError names the offset
-    of the fault; the whole header, and the file's size against it, is
-    checked before the payload is allocated or read."""
-    with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ModelFormatError(f"{path}: truncated header at offset {len(head)}")
-        got_magic, H, W, sensor_id = _HEADER.unpack(head)
-        if got_magic != magic:
-            raise ModelFormatError(f"{path}: bad magic {got_magic!r} at offset 0")
-        if H == 0 or W == 0:
-            raise ModelFormatError(f"{path}: empty {H}x{W} planes at offset {len(magic)}")
-        if sensor_id not in sensor_ids:
-            raise ModelFormatError(
-                f"{path}: sensor id {sensor_id} at offset {_SENSOR_OFFSET}, "
-                f"expected {' or '.join(map(str, sensor_ids))}")
-        end = _HEADER.size + 4 * n_planes * H * W
-        # the header alone can claim 80 GiB: check the size before allocating
-        size = os.fstat(f.fileno()).st_size
-        if size < end:
-            raise ModelFormatError(f"{path}: truncated planes at offset {size}")
-        if size > end:
-            raise ModelFormatError(f"{path}: trailing bytes at offset {end}")
-        arr = np.empty(n_planes * H * W, dtype="<f4")
-        # the file can change size between the fstat and the read
-        got = f.readinto(arr)
-        if got != arr.nbytes:
-            raise ModelFormatError(
-                f"{path}: truncated planes at offset {_HEADER.size + got}")
-        if f.read(1):
-            raise ModelFormatError(
-                f"{path}: trailing bytes at offset {_HEADER.size + got}")
+    of the fault, or the OS error where the file cannot be opened or read;
+    the whole header, and the file's size against it, is checked before the
+    payload is allocated or read."""
+    try:
+        with open(path, "rb") as f:
+            head = f.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise ModelFormatError(f"{path}: truncated header at offset {len(head)}")
+            got_magic, H, W, sensor_id = _HEADER.unpack(head)
+            if got_magic != magic:
+                raise ModelFormatError(f"{path}: bad magic {got_magic!r} at offset 0")
+            if H == 0 or W == 0:
+                raise ModelFormatError(f"{path}: empty {H}x{W} planes at offset {len(magic)}")
+            if sensor_id not in sensor_ids:
+                raise ModelFormatError(
+                    f"{path}: sensor id {sensor_id} at offset {_SENSOR_OFFSET}, "
+                    f"expected {' or '.join(map(str, sensor_ids))}")
+            end = _HEADER.size + 4 * n_planes * H * W
+            # the header alone can claim 80 GiB: check the size before allocating
+            size = os.fstat(f.fileno()).st_size
+            if size < end:
+                raise ModelFormatError(f"{path}: truncated planes at offset {size}")
+            if size > end:
+                raise ModelFormatError(f"{path}: trailing bytes at offset {end}")
+            arr = np.empty(n_planes * H * W, dtype="<f4")
+            # the file can change size between the fstat and the read
+            got = f.readinto(arr)
+            if got != arr.nbytes:
+                raise ModelFormatError(
+                    f"{path}: truncated planes at offset {_HEADER.size + got}")
+            if f.read(1):
+                raise ModelFormatError(
+                    f"{path}: trailing bytes at offset {_HEADER.size + got}")
+    except OSError as e:  # no file, a directory, a failed read
+        raise ModelFormatError(f"{path}: cannot read: {e.strerror}") from None
     arr = arr.astype(np.float32, copy=False)
     finite = np.isfinite(arr)
     if not finite.all():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from volcnn import dataset as ds
-from volcnn.errors import CatalogError, InvalidParameterError, MissingClassError
+from volcnn.errors import (CatalogError, InvalidParameterError, MissingClassError,
+                           ModelFormatError)
 from volcnn.tensor import RngStream
 
 from oracles import smooth_field_reference
@@ -182,6 +183,17 @@ class TestSampleMeta:
                 ds.load_sample(sample)
             else:
                 ds.build_manifest(str(tmp_path))
+
+
+def test_unreadable_band_file_names_it(tmp_path):
+    # build_manifest only checks that bands.vbp exists; a directory there
+    # raised a bare IsADirectoryError from load_sample
+    sample = ds.synth_generate(1, seed=1, out_dir=str(tmp_path), size=SIZE).samples[0]
+    path = os.path.join(sample.path, ds.PATCH_FILENAME)
+    os.remove(path)
+    os.mkdir(path)
+    with pytest.raises(ModelFormatError, match=r"bands\.vbp: cannot read: Is a directory$"):
+        ds.load_sample(sample)
 
 
 class TestMissingClass:

@@ -69,15 +69,17 @@ class _FakeMallopt:
 
 
 def test_trim_threshold_set_after_mmap_threshold_took():
+    # then one arena, so the conv workers' buffers come from the pinned heap
     mallopt = _FakeMallopt(1)
     volcnn._pin_heap(mallopt)
-    assert mallopt.calls == [(volcnn._M_MMAP_THRESHOLD, 32 << 20),
-                             (volcnn._M_TRIM_THRESHOLD, 1 << 30)]
+    # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD and M_ARENA_MAX in glibc's <malloc.h>
+    assert mallopt.calls == [(-3, 32 << 20), (-1, 1 << 30), (-8, 1)]
 
 
 def test_trim_threshold_left_alone_when_mmap_threshold_refused():
     # Alone, a trim threshold turns off the dynamic mmap threshold, and
     # that made every op fault more pages, not fewer.
+    # The arena count is left alone too.
     mallopt = _FakeMallopt(0)
     volcnn._pin_heap(mallopt)
     assert mallopt.calls == [(volcnn._M_MMAP_THRESHOLD, 32 << 20)]

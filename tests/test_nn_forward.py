@@ -1,3 +1,6 @@
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -618,6 +621,76 @@ class TestConvRowBands:
         _, gw, _ = layer.backward_nhwc(to_nhwc(x), gy)
         np.testing.assert_array_equal(gw.view(np.uint32), gw_whole.view(np.uint32))
         _conv_against_reference(2, c, k, (kh, kw), h, w, seed=46)
+
+
+@pytest.fixture(scope="module")
+def two_workers():
+    """A 2-worker pool, so the threaded path runs on any host, one CPU too."""
+    with ThreadPoolExecutor(2) as pool:
+        yield pool
+
+
+def _conv_bits(layer, x, gy):
+    """forward_nhwc, then grad_x, grad_w and grad_b, as uint32."""
+    return [a.view(np.uint32) for a in (layer.forward_nhwc(x), *layer.backward_nhwc(x, gy))]
+
+
+class TestConvImageTasks:
+    """A conv pass runs one task per image on nn._POOL, inline with one CPU
+    or one image.  Each task writes only its image's output, and the
+    images' grad_w products are added in image order, so every output and
+    gradient bit equals the inline run's."""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+    def test_workers_follow_the_affinity_mask(self):
+        assert nn._WORKERS == len(os.sched_getaffinity(0))
+        assert (nn._POOL is None) == (nn._WORKERS == 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("c, p", [(3, 4), (8, 2), (32, 1)])
+    @pytest.mark.parametrize("short_band", [False, True])
+    def test_threaded_matches_inline_bitwise(self, monkeypatch, two_workers, n, c, p,
+                                             short_band):
+        h, w = 7, 8
+        assert nn._block_width(c, w) == p
+        layer = nn.Conv2d(c, c)
+        layer.weights = _gauss32(90, c, c, 3, 3)
+        layer.bias = _gauss32(91, c)
+        x, gy = _gauss32(92, n, h, w, c), _gauss32(93, n, h, w, c)
+        if short_band:
+            # bands of 2 output rows over 7: the last band has one row
+            monkeypatch.setattr(nn, "_BAND_BYTES", 2 * (w // p) * 3 * (p + 2) * c * 4)
+        monkeypatch.setattr(nn, "_POOL", two_workers)
+        threaded = _conv_bits(layer, x, gy)
+        monkeypatch.setattr(nn, "_POOL", None)
+        inline = _conv_bits(layer, x, gy)
+        for got, want in zip(threaded, inline):
+            np.testing.assert_array_equal(got, want)
+
+    def test_task_exception_reaches_the_caller(self, monkeypatch, two_workers):
+        monkeypatch.setattr(nn, "_POOL", two_workers)
+        layer = nn.Conv2d(3, 4)
+        layer.weights = _gauss32(94, 4, 3, 3, 3)
+        # image n holds the value n, so the patch builder knows image 1
+        x = np.repeat(np.arange(3, dtype=np.float32), 4 * 8 * 3).reshape(3, 4, 8, 3)
+        gy = _gauss32(95, 3, 4, 8, 4)
+        im2col = nn._im2col
+
+        def failing(img, *args):
+            if img[0, 0, 0] == 1:
+                raise RuntimeError("image 1")
+            return im2col(img, *args)
+
+        monkeypatch.setattr(nn, "_im2col", failing)
+        with pytest.raises(RuntimeError, match="image 1"):
+            layer.forward_nhwc(x)
+        with pytest.raises(RuntimeError, match="image 1"):
+            layer.backward_nhwc(x, gy)
+        monkeypatch.setattr(nn, "_im2col", im2col)
+        threaded = _conv_bits(layer, x, gy)
+        monkeypatch.setattr(nn, "_POOL", None)
+        for got, want in zip(threaded, _conv_bits(layer, x, gy)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestPassBands:

@@ -99,6 +99,18 @@ class TestBicubicResize:
         img = np.zeros((3, 256, 256), dtype=np.float32)
         assert pp.bicubic_resize(img).shape == (3, 512, 512)
 
+    # (0, 512) raised ZeroDivisionError, the negative sizes NumPy's bare
+    # ValueError from the first allocation
+    @pytest.mark.parametrize("target", [(0, 512), (-1, 4), (4, -1)])
+    @pytest.mark.parametrize("call", ["bicubic_resize", "compose_patch"])
+    def test_target_must_be_two_positive_ints(self, target, call):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"target must be two positive ints, got \({target[0]}, "):
+            if call == "bicubic_resize":
+                pp.bicubic_resize(np.zeros((3, 8, 8), dtype=np.float32), target=target)
+            else:
+                pp.compose_patch(make_patch(), target=target)
+
     def test_identity_at_same_size(self):
         rng = RngStream(31)
         img = rng.uniform(3 * 12 * 12).reshape(3, 12, 12).astype(np.float32)
@@ -534,6 +546,17 @@ class TestPlaneFiles:
         path.write_bytes(magic + struct.pack("<HHB", h, w, 2))
         with pytest.raises(ModelFormatError, match=f"empty {h}x{w} planes at offset 4"):
             load(path)
+
+    @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
+    @pytest.mark.parametrize("what, error", [("missing", "No such file or directory"),
+                                             ("directory", "Is a directory")])
+    def test_unreadable_path_rejected(self, tmp_path, fmt, what, error):
+        # both were a bare OSError (FileNotFoundError, IsADirectoryError)
+        path = tmp_path / "planes.bin"
+        if what == "directory":
+            path.mkdir()
+        with pytest.raises(ModelFormatError, match=f"planes.bin: cannot read: {error}$"):
+            load_planes(fmt, path)
 
     @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
     def test_size_checked_before_the_planes_are_allocated(self, tmp_path, fmt):
