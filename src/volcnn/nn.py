@@ -141,7 +141,19 @@ _PASS_BYTES = 1 << 18
 # batch of one, the per-image conv tasks run inline (the module docstring).
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-_POOL = ThreadPoolExecutor(_WORKERS, "volcnn-conv") if _WORKERS > 1 else None
+
+
+def _start_pool():
+    """A new conv pool, or None with one CPU.  A forked child inherits the
+    parent's pool without its threads, and its tasks would wait forever,
+    so the child starts its own."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(_WORKERS, "volcnn-conv") if _WORKERS > 1 else None
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_pool)
 
 
 def _nhwc(shape):

@@ -1,4 +1,7 @@
 import os
+import signal
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -666,6 +669,38 @@ class TestConvImageTasks:
         inline = _conv_bits(layer, x, gy)
         for got, want in zip(threaded, inline):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")  # 3.12+
+    def test_forked_child_gets_its_own_pool(self, monkeypatch, two_workers):
+        # the child inherited the parent's pool without its threads, and its
+        # first batched conv queued its tasks for idle workers it did not have
+        monkeypatch.setattr(nn, "_WORKERS", 2)
+        monkeypatch.setattr(nn, "_POOL", two_workers)
+        barrier = threading.Barrier(2)
+        list(two_workers.map(lambda _: barrier.wait(10), range(2)))  # both started
+        layer = nn.Conv2d(3, 4)
+        layer.weights = _gauss32(96, 4, 3, 3, 3)
+        x = _gauss32(97, 2, 4, 8, 3)
+        want = layer.forward_nhwc(x)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(layer.forward_nhwc(x), want) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's conv did not finish in 30 s")
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_task_exception_reaches_the_caller(self, monkeypatch, two_workers):
         monkeypatch.setattr(nn, "_POOL", two_workers)
