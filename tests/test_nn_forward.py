@@ -639,15 +639,27 @@ def _conv_bits(layer, x, gy):
 
 
 class TestConvImageTasks:
-    """A conv pass runs one task per image on nn._POOL, inline with one CPU
-    or one image.  Each task writes only its image's output, and the
+    """A conv pass runs one task per image on nn._POOL, inline with one
+    worker (nn._WORKERS) or one image.  Each task writes only its image's output, and the
     images' grad_w products are added in image order, so every output and
     gradient bit equals the inline run's."""
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
     def test_workers_follow_the_affinity_mask(self):
         assert nn._WORKERS == len(os.sched_getaffinity(0))
-        assert (nn._POOL is None) == (nn._WORKERS == 1)
+
+    def test_first_batch_starts_the_pool(self, monkeypatch):
+        monkeypatch.setattr(nn, "_WORKERS", 2)
+        monkeypatch.setattr(nn, "_POOL", None)
+        layer = nn.Conv2d(3, 4)
+        layer.forward_nhwc(np.zeros((1, 4, 8, 3), dtype=np.float32))
+        assert nn._POOL is None  # a batch of one runs inline
+        layer.forward_nhwc(np.zeros((2, 4, 8, 3), dtype=np.float32))
+        pool = nn._POOL
+        try:
+            assert isinstance(pool, ThreadPoolExecutor) and pool._max_workers == 2
+        finally:
+            pool.shutdown()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("c, p", [(3, 4), (8, 2), (32, 1)])
@@ -663,9 +675,10 @@ class TestConvImageTasks:
         if short_band:
             # bands of 2 output rows over 7: the last band has one row
             monkeypatch.setattr(nn, "_BAND_BYTES", 2 * (w // p) * 3 * (p + 2) * c * 4)
+        monkeypatch.setattr(nn, "_WORKERS", 2)
         monkeypatch.setattr(nn, "_POOL", two_workers)
         threaded = _conv_bits(layer, x, gy)
-        monkeypatch.setattr(nn, "_POOL", None)
+        monkeypatch.setattr(nn, "_WORKERS", 1)
         inline = _conv_bits(layer, x, gy)
         for got, want in zip(threaded, inline):
             np.testing.assert_array_equal(got, want)
@@ -703,6 +716,7 @@ class TestConvImageTasks:
         assert os.waitstatus_to_exitcode(status) == 0
 
     def test_task_exception_reaches_the_caller(self, monkeypatch, two_workers):
+        monkeypatch.setattr(nn, "_WORKERS", 2)
         monkeypatch.setattr(nn, "_POOL", two_workers)
         layer = nn.Conv2d(3, 4)
         layer.weights = _gauss32(94, 4, 3, 3, 3)
@@ -723,7 +737,7 @@ class TestConvImageTasks:
             layer.backward_nhwc(x, gy)
         monkeypatch.setattr(nn, "_im2col", im2col)
         threaded = _conv_bits(layer, x, gy)
-        monkeypatch.setattr(nn, "_POOL", None)
+        monkeypatch.setattr(nn, "_WORKERS", 1)
         for got, want in zip(threaded, _conv_bits(layer, x, gy)):
             np.testing.assert_array_equal(got, want)
 
