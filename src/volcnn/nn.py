@@ -59,27 +59,26 @@ window columns q..q+kw-1, so its diagonal block of the product holds the
 (kh, kw, C, K) gradient of those pixels, and the p blocks are summed.
 That sum changes only the summation order against p = 1.
 
-The images of a batch are independent, so each conv pass (forward,
-grad_w and grad-input) runs one task per image on a module-level thread
-pool, the data parallelism of Krizhevsky 2014 (arXiv:1404.5997); NumPy
-releases the GIL in the GEMMs and the patch copies.  A correlation task
-runs its image's row bands in order and writes only its y[n]; a grad_w
-task returns its image's product, and the caller adds the products in
-image order, so every output and gradient bit is that of the inline loop.
-The pool has one worker per CPU in the process's affinity mask, read at
-import and not settable, and starts with the first batch of two or more
-images; with one CPU, or one image, the tasks run inline.
-While grad_w's tasks run, the caller sums grad_b.  In one process on a
-2-vCPU host, one BLAS thread, with the pool switched on and off on
-alternate full-net training steps at N = 4, 512x512 (median of 12 steps
-each): step 1950 -> 1476 ms, conv.fwd 365 -> 211 ms and conv.bwd 816 ->
-475 ms per step; the batchnorm, relu and pool spans did not move.  The
-bands of one image are not shared out.  In benchmark runs a prototype that
-did so at batch 1 made the pruned net's on-board request slower (p10 49.8
--> 56.3 and 45.9 -> 57.3 ms) and its peak RSS 5-10 % higher; the forward
-alone, in one process, gained at most 6 % (pruned 58.6 -> 54.9 ms p10).
-Blocks b4-b6 are one band per image, and split by output channels across
-the workers they ran no faster.
+The images of a batch are independent, so each conv pass (forward, grad_w
+and grad-input) runs one task per image on a module-level thread pool, the
+data parallelism of Krizhevsky 2014 (arXiv:1404.5997); NumPy releases the
+GIL in the GEMMs and the patch copies.  A correlation task runs its
+image's row bands in order and writes only its y[n]; a grad_w task returns
+its image's product, and the caller adds the products in image order, so
+every output and gradient bit is that of the inline loop.  The pool has
+one worker per CPU in the process's affinity mask, read at import and not
+settable, and starts with the first batch of two or more images; with one
+CPU, or one image, the tasks run inline.  While grad_w's tasks run, the
+caller sums grad_b.  In one process on a 2-vCPU host, one BLAS thread,
+with the pool switched on and off on alternate full-net training steps at
+N = 4, 512x512 (median of 12 steps each): step 1950 -> 1476 ms, conv.fwd
+365 -> 211 ms and conv.bwd 816 -> 475 ms per step; the batchnorm, relu and
+pool spans did not move.  The bands of one image are not shared out.  In
+benchmark runs a prototype that did so at batch 1 made the pruned net's
+on-board request slower (p10 49.8 -> 56.3 and 45.9 -> 57.3 ms) and its
+peak RSS 5-10 % higher; the forward alone, in one process, gained at most
+6 % (pruned 58.6 -> 54.9 ms p10).  Blocks b4-b6 are one band per image,
+and split by output channels across the workers they ran no faster.
 
 Batchnorm applies each per-channel vector, tiled W times, to the
 (N*H, W*C) view of the map; the arithmetic is that of the broadcast on the
