@@ -62,19 +62,28 @@ That sum changes only the summation order against p = 1.
 The images of a batch are independent, so each conv pass (forward, grad_w
 and grad-input) runs one task per image on a module-level thread pool, the
 data parallelism of Krizhevsky 2014 (arXiv:1404.5997); NumPy releases the
-GIL in the GEMMs and the patch copies.  A correlation task runs its
-image's row bands in order and writes only its y[n]; a grad_w task returns
-its image's product, and the caller adds the products in image order, so
-every output and gradient bit is that of the inline loop.  The pool has
-one worker per CPU in the process's affinity mask, read at import and not
-settable, and starts with the first batch of two or more images; with one
-CPU, or one image, the tasks run inline.  While grad_w's tasks run, the
-caller sums grad_b.  In one process on a 2-vCPU host, one BLAS thread,
-with the pool switched on and off on alternate full-net training steps at
-N = 4, 512x512 (median of 12 steps each): step 1950 -> 1476 ms, conv.fwd
-365 -> 211 ms and conv.bwd 816 -> 475 ms per step; the batchnorm, relu and
-pool spans did not move.  The bands of one image are not shared out.  In
-benchmark runs a prototype that did so at batch 1 made the pruned net's
+GIL in the GEMMs, the patch copies and the element-wise loops.  A
+correlation task runs its image's row bands in order and writes only its
+y[n]; a grad_w task returns its image's product, and the caller adds the
+products in image order.  The element-wise passes of a map of two or more
+images (train-mode batchnorm, relu, the pool and their backward passes)
+run as one task per worker, each over one run of consecutive _PASS_BYTES
+bands (below); batchnorm's runs return one sum per band, and the caller
+adds them in band order.  So every output and gradient bit is that of the
+inline loop.  The pool has one worker per CPU in the process's affinity
+mask, read at import and not settable, and starts with the first batch of
+two or more images.  With one CPU or one image, for a 2-d array, or where
+a pass has one band, the tasks run inline.  While grad_w's tasks run, the
+caller sums grad_b; while batchnorm's backward centres its input, grad_beta.
+In one process on a 2-vCPU host, one BLAS thread, full-net training steps
+at N = 4, 512x512: the conv tasks, switched on and off on alternate steps
+(median of 12 steps each), took the step from 1950 to 1476 ms, conv.fwd
+365 -> 211 ms and conv.bwd 816 -> 475 ms per step.  The pass runs then
+took it from 1621 to 1417 ms (median of 6 processes a side, 8 steps each),
+in ms per step: bn.fwd 153 -> 126, bn.bwd 213 -> 154, relu.fwd 37 -> 28,
+relu.bwd 80 -> 57, pool.fwd 50 -> 35 and pool.bwd 155 -> 116, with conv
+within noise.  At batch 1 nothing is shared out.  In benchmark runs a
+prototype that shared one image's conv bands made the pruned net's
 on-board request slower (p10 49.8 -> 56.3 and 45.9 -> 57.3 ms) and its
 peak RSS 5-10 % higher; the forward alone, in one process, gained at most
 6 % (pruned 58.6 -> 54.9 ms p10).  Blocks b4-b6 are one band per image,
@@ -85,7 +94,8 @@ Batchnorm applies each per-channel vector, tiled W times, to the
 4-d map, and so are the bits.
 
 The per-element passes over full-size maps run band by band, rows that fit
-_PASS_BYTES at a time, and make no full-size temporary beyond their output.
+_PASS_BYTES at a time, and make no full-size temporary beyond their output;
+relu and the pool forward, when they run inline, are one whole-map call.
 Train-mode batchnorm centres its input band by band, sums the variance
 (and, backward, grad_gamma) of each band in the map's dtype while the band
 is in cache, and adds the band sums in float64.  It scales and shifts its
@@ -122,6 +132,7 @@ from __future__ import annotations
 
 import os
 import threading
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -134,11 +145,12 @@ BCE_CLAMP = 1e-7
 # matrix per call (28 MB at 512x512x3) left a pruned-net request's peak RSS
 # varying by up to 23 MB from run to run; few-MB bands keep it within 3 MB.
 _BAND_BYTES = 1 << 22
-# Byte budget of the band of a map that batchnorm and the relu and pool
-# backward passes work through at a time (the table in the module docstring).
+# Byte budget of the band of a map that batchnorm, relu and the pool work
+# through at a time (the table in the module docstring).
 _PASS_BYTES = 1 << 18
 # CPUs this process may run on, read once at import; with one, or for a
-# batch of one, the per-image conv tasks run inline (the module docstring).
+# batch of one, the conv tasks and the pass runs run inline (the module
+# docstring).
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 # The conv pool, started by the first batch that runs on it, so a process
@@ -203,10 +215,14 @@ def _gemm_weights(w, p):
     """GEMM weights of the (out, in, kh, kw) kernel w for patch rows of p
     pixels: (kh * (p+kw-1) * in, p * out), zero where a pixel's window
     misses a column.  It is the transposed view of a contiguous
-    (p, out, kh, p+kw-1, in) array, a copy that moves only `in` innermost:
-    at 512->512 (p = 1) it takes 1.3 ms, where a contiguous (kh, kw, in,
-    out) copy took 6.8 ms; the GEMM output is the same."""
+    (p, out, kh, p+kw-1, in) array, a copy that moves only `in` innermost.
+    At p = 1 no column is zero, so the copy skips the zero fill: at 512->512
+    it takes 1.45 ms against 1.93 ms zero-filled (p10 of 41 calls), where a
+    contiguous (kh, kw, in, out) copy took 6.8 ms; the GEMM output is the
+    same."""
     k_out, c_in, kh, kw = w.shape
+    if p == 1:
+        return np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(k_out, -1).T
     wide = np.zeros((p, k_out, kh, p + kw - 1, c_in), dtype=w.dtype)
     for q in range(p):
         wide[q, :, :, q:q + kw] = w.transpose(0, 2, 3, 1)
@@ -227,18 +243,28 @@ def _im2col(img, r0, r1, p, kh, kw):
     return win.transpose(0, 1, 3, 4, 2).reshape((r1 - r0) * (W // p), -1)
 
 
-def _each_image(task, n):
-    """task(0), ..., task(n-1), as an iterator over their results in image
-    order: one task per image on _POOL, or inline with one CPU or one image.
-    A task's exception is raised when its result is reached."""
+def _spread(task, items):
+    """task(item) for each item, as an iterator over the results in order:
+    one task per item on _POOL, or inline, as the iterator is read, with one
+    CPU or one item.  A task's exception is raised when its result is
+    reached."""
     global _POOL
-    if _WORKERS < 2 or n < 2:
-        return map(task, range(n))
+    if _WORKERS < 2 or len(items) < 2:
+        return map(task, items)
     with _POOL_LOCK:
         if _POOL is None:
             from concurrent.futures import ThreadPoolExecutor
             _POOL = ThreadPoolExecutor(_WORKERS, "volcnn-conv")
-    return _POOL.map(task, range(n))
+    return _POOL.map(task, items)
+
+
+def _runs(x, n, row_bytes):
+    """The _PASS_BYTES bands over n rows of row_bytes bytes each, as runs of
+    consecutive bands for _spread: one run per worker, as even as the bands
+    allow, if x is a map of two or more images, else one run of them all."""
+    bands = _bands(n, row_bytes, _PASS_BYTES)
+    k = min(_WORKERS if x.ndim == 4 and len(x) > 1 else 1, len(bands))
+    return [bands[i * len(bands) // k:(i + 1) * len(bands) // k] for i in range(k)]
 
 
 def _correlate(x, w, bias=None):
@@ -263,7 +289,7 @@ def _correlate(x, w, bias=None):
             if tiled_bias is not None:
                 out += tiled_bias
 
-    for _ in _each_image(image, N):
+    for _ in _spread(image, range(N)):
         pass
     return y
 
@@ -315,7 +341,7 @@ class Conv2d:
         # _BAND_BYTES; the images' products are added in image order, so it
         # ignores which thread made each one too.  On the pool the tasks
         # start here, and the caller sums grad_b meanwhile (30 ms at b0).
-        parts = _each_image(image, N)
+        parts = _spread(image, range(N))
         grad_b = np.einsum("nhwc->c", grad_out, dtype=np.float64).astype(x.dtype)
         for part in parts:
             g += part
@@ -344,20 +370,28 @@ class Conv2d:
 # ---------------------------------------------------------------------------
 
 
-def _centre_and_dot(x, mean, out, bands, other=None):
+def _centre_and_dot(x, mean, out, runs, other=None):
     """Write x - mean into out band by band, over the row bands of the
-    (N*H, W*C) views x, out and other, and return the per-channel sums of
-    other * out (out * out by default).  Each band's sums are taken in the
-    maps' dtype while the band is in cache, and the band sums are added in
-    float64: one float32 sum in order over a 4x512x512 map drifted 4.8e-4
-    off float64, relative."""
+    (N*H, W*C) views x, out and other, one task per run of bands
+    (_spread), and return an iterator over the per-channel sums of
+    other * out (out * out by default), one per band, in band order.  On the
+    pool the tasks start at the call.  Each band's sums are taken in the
+    maps' dtype while the band is in cache, and the caller adds them, in
+    order, to float64 zeros: one float32 sum in order over a 4x512x512 map
+    drifted 4.8e-4 off float64, relative."""
     C = mean.size
     tiled = np.tile(mean, out.shape[1] // C)
-    total = np.zeros(C)
-    for r in bands:
-        d = np.subtract(x[r], tiled, out=out[r]).reshape(-1, C)
-        total += np.einsum("ic,ic->c", d if other is None else other[r].reshape(-1, C), d)
-    return total
+
+    def run(bands):
+        sums = []
+        for r in bands:
+            d = np.subtract(x[r], tiled, out=out[r]).reshape(-1, C)
+            sums.append(np.einsum("ic,ic->c", d if other is None
+                                  else other[r].reshape(-1, C), d))
+        return sums
+
+    return chain.from_iterable(_spread(run, runs))
+
 
 
 class BatchNorm2d:
@@ -387,7 +421,7 @@ class BatchNorm2d:
     def forward_train_nhwc(self, x):
         """Normalize by batch statistics; returns (y, cache), updates running stats."""
         self._check(x)
-        N, H, W, _ = x.shape
+        N, H, W, C = x.shape
         if N < 2:
             raise ShapeError(f"train-mode batchnorm needs batch size >= 2, "
                              f"got input {x.shape}")
@@ -396,15 +430,20 @@ class BatchNorm2d:
         # channel mean is large against its spread.
         mean = (np.einsum("nhwc->c", x, dtype=np.float64) / cnt).astype(x.dtype)
         rows = np.empty_like(_rows(x))
-        bands = _bands(N * H, rows.strides[0], _PASS_BYTES)
-        var = _centre_and_dot(_rows(x), mean, rows, bands) / cnt
+        runs = _runs(x, N * H, rows.strides[0])
+        var = sum(_centre_and_dot(_rows(x), mean, rows, runs), np.zeros(C)) / cnt
         y = rows.reshape(x.shape)
         inv = (1.0 / np.sqrt(var + self.epsilon)).astype(x.dtype)
         scale, shift = np.tile(self.gamma * inv, W), np.tile(self.beta, W)
-        for b in bands:
-            band = rows[b]
-            band *= scale
-            band += shift
+
+        def scale_and_shift(bands):
+            for b in bands:
+                band = rows[b]
+                band *= scale
+                band += shift
+
+        for _ in _spread(scale_and_shift, runs):
+            pass
         m = x.dtype.type(self.momentum)
         self.running_mean = m * self.running_mean + (1 - m) * mean
         self.running_var = m * self.running_var + (1 - m) * var.astype(x.dtype)
@@ -427,26 +466,32 @@ class BatchNorm2d:
         _same_shape("grad_out", grad_out.shape, "input", x.shape)
         N, H, W, _ = x.shape
         cnt = N * H * W
-        grad_beta = np.einsum("nhwc->c", grad_out, dtype=np.float64)
         # Centre first: sum(gy * x) - mean * sum(gy) cancels in float32 once
         # the channel mean is large against its spread.
         gy = _rows(grad_out)
         d = np.empty_like(_rows(x))
-        bands = _bands(N * H, d.strides[0], _PASS_BYTES)
-        grad_gamma = (_centre_and_dot(_rows(x), mean, d, bands, gy)
-                      * inv).astype(x.dtype)
-        grad_beta = grad_beta.astype(x.dtype)
+        runs = _runs(x, N * H, d.strides[0])
+        sums = _centre_and_dot(_rows(x), mean, d, runs, gy)
+        # on the pool the runs above have started; the caller sums grad_beta
+        # meanwhile
+        grad_beta = np.einsum("nhwc->c", grad_out, dtype=np.float64).astype(x.dtype)
+        grad_gamma = (sum(sums, np.zeros(mean.size)) * inv).astype(x.dtype)
         # grad_x = B*(x - mean) + A*gy + C per channel, from the batch-statistics
         # chain rule, written over d band by band
         A = self.gamma * inv
         B = (-A * inv * grad_gamma / cnt).astype(x.dtype)
         C = (-A * grad_beta / cnt).astype(x.dtype)
         A, B, C = np.tile(A, W), np.tile(B, W), np.tile(C, W)
-        for b in bands:
-            band = d[b]
-            band *= B
-            band += np.multiply(gy[b], A, dtype=x.dtype)
-            band += C
+
+        def grad_input(bands):
+            for b in bands:
+                band = d[b]
+                band *= B
+                band += np.multiply(gy[b], A, dtype=x.dtype)
+                band += C
+
+        for _ in _spread(grad_input, runs):
+            pass
         return d.reshape(x.shape), grad_gamma, grad_beta
 
 
@@ -517,17 +562,51 @@ class Dropout:
 
 
 def relu(x):
-    return np.maximum(x, 0)
+    """max(x, 0); a map of two or more images in runs of bands (_runs)."""
+    runs = _runs(x, x.size, x.itemsize)
+    if len(runs) < 2:
+        return np.maximum(x, 0)
+    y = np.empty(x.shape, dtype=x.dtype)
+    flat_x, flat_y = x.reshape(-1), y.reshape(-1)
+
+    def run(bands):
+        for b in bands:
+            np.maximum(flat_x[b], 0, out=flat_y[b])
+
+    for _ in _spread(run, runs):
+        pass
+    return y
 
 
 def relu_backward(y, grad_out):
-    """Backward through relu given its output y (y > 0 iff input was > 0)."""
+    """Backward through relu given its output y (y > 0 iff input was > 0).
+
+    The mask y > 0 is written into a band buffer of grad_out's dtype, so the
+    product is float by float: the float-by-bool multiply casts the bool to
+    the same 1.0 or 0.0 in a slower mixed-type loop."""
     _same_shape("grad_out", grad_out.shape, "output", y.shape)
     out = np.empty(y.shape, dtype=grad_out.dtype)
     flat_y, flat_g, flat_out = y.reshape(-1), grad_out.reshape(-1), out.reshape(-1)
-    for b in _bands(y.size, y.itemsize, _PASS_BYTES):
-        np.multiply(flat_g[b], flat_y[b] > 0, out=flat_out[b])
+
+    def run(bands):
+        mask = np.empty(bands[0].stop - bands[0].start, dtype=out.dtype)
+        for b in bands:
+            m = mask[:b.stop - b.start]
+            np.greater(flat_y[b], 0, out=m)
+            np.multiply(flat_g[b], m, out=flat_out[b])
+
+    for _ in _spread(run, _runs(y, y.size, y.itemsize)):
+        pass
     return out
+
+
+def _window_max(quarters, out=None):
+    """Elementwise maximum of the four quarters of a pool window, in
+    (0, 0), (0, 1), (1, 0), (1, 1) order."""
+    y = np.maximum(quarters[0], quarters[1], out=out)
+    np.maximum(y, quarters[2], out=y)
+    np.maximum(y, quarters[3], out=y)
+    return y
 
 
 def maxpool2x2_forward_nhwc(x):
@@ -536,14 +615,26 @@ def maxpool2x2_forward_nhwc(x):
     y is the elementwise maximum of the four strided quarters x[:, dy::2, dx::2].
     The cache is (x, y), references only, so x must not be written to before
     the backward pass rebuilds the routing mask from them.  A window holding
-    NaN pools to NaN.
+    NaN pools to NaN.  A map of two or more images is pooled in runs of
+    pooled-row bands (_runs).
     """
     N, H, W, C = _nhwc(x.shape)
     if H % 2 or W % 2:
         raise ShapeError(f"max_pool 2x2/2 needs even spatial dims, got {H}x{W}")
-    y = np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2])
-    np.maximum(y, x[:, 1::2, 0::2], out=y)
-    np.maximum(y, x[:, 1::2, 1::2], out=y)
+    runs = _runs(x, N * H // 2, 2 * W * C * x.itemsize)
+    if len(runs) < 2:
+        y = _window_max([x[:, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)])
+        return y, (x, y)
+    y = np.empty((N, H // 2, W // 2, C), dtype=x.dtype)
+    # pooled row i reads window rows (i, dy, :, dx) of this view
+    x_win, y_rows = x.reshape(N * H // 2, 2, W // 2, 2, C), y.reshape(N * H // 2, W // 2, C)
+
+    def run(bands):
+        for b in bands:
+            _window_max([x_win[b, dy, :, dx] for dy in (0, 1) for dx in (0, 1)], y_rows[b])
+
+    for _ in _spread(run, runs):
+        pass
     return y, (x, y)
 
 
@@ -566,15 +657,20 @@ def maxpool2x2_backward_nhwc(cache, grad_out):
     windows = (N * H // 2, 2, W // 2, 2, C)
     x_win, gx_win = x.reshape(windows), gx.view(bits).reshape(windows)
     y_rows, g_rows = y.reshape(pooled), grad_out.view(bits).reshape(pooled)
-    for b in _bands(pooled[0], 2 * W * C * x.itemsize, _PASS_BYTES):
-        free = np.ones(y_rows[b].shape, dtype=bool)
-        hit = np.empty_like(free)
-        for dy in (0, 1):
-            for dx in (0, 1):
-                np.equal(x_win[b, dy, :, dx], y_rows[b], out=hit)
-                hit &= free
-                free ^= hit
-                np.multiply(g_rows[b], hit, out=gx_win[b, dy, :, dx])
+
+    def run(bands):
+        for b in bands:
+            free = np.ones(y_rows[b].shape, dtype=bool)
+            hit = np.empty_like(free)
+            for dy in (0, 1):
+                for dx in (0, 1):
+                    np.equal(x_win[b, dy, :, dx], y_rows[b], out=hit)
+                    hit &= free
+                    free ^= hit
+                    np.multiply(g_rows[b], hit, out=gx_win[b, dy, :, dx])
+
+    for _ in _spread(run, _runs(x, pooled[0], 2 * W * C * x.itemsize)):
+        pass
     return gx
 
 
@@ -653,13 +749,16 @@ class Adam:
         if not len(params) == len(grads) == len(self.first_moment):
             raise ShapeError(f"{len(params)} params and {len(grads)} grads for "
                              f"{len(self.first_moment)} registered moments")
+        # every shape before any update, so a mismatch leaves all state as it was
+        for p, g, m, v in zip(params, grads, self.first_moment, self.second_moment):
+            for name, a in (("param", p), ("first moment", m), ("second moment", v)):
+                _same_shape("grad", g.shape, name, a.shape)
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 / (1.0 - b1 ** t)
         c2 = 1.0 / (1.0 - b2 ** t)
         for p, g, m, v in zip(params, grads, self.first_moment, self.second_moment):
-            _same_shape("grad", g.shape, "param", p.shape)
             num, den = np.empty_like(m), np.empty_like(m)
             m *= b1
             m += np.multiply(g, 1.0 - b1, out=num)

@@ -510,6 +510,16 @@ class TestConvPixelBlocks:
         layer.backward_nhwc(x, layer.forward_nhwc(x))
         assert seen == [((32, 16, 3, 3), 2), ((16, 32, 3, 3), 2)]
 
+    @pytest.mark.parametrize("k, c, kh, kw", [(5, 3, 3, 3), (4, 6, 1, 3), (2, 32, 5, 1)])
+    def test_p1_gemm_weights_equal_the_zero_filled_build(self, k, c, kh, kw):
+        w = _gauss32(51, k, c, kh, kw)
+        wide = np.zeros((1, k, kh, kw, c), dtype=np.float32)
+        wide[0] = w.transpose(0, 2, 3, 1)
+        want = wide.reshape(k, -1).T
+        got = nn._gemm_weights(w, 1)
+        assert got.strides == want.strides
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
     @pytest.mark.parametrize("kernel", [(1, 1), (3, 5), (5, 3)])
     @pytest.mark.parametrize("w", [4, 8, 12, 5])  # 5: p falls back to 1
     @pytest.mark.parametrize("c", [1, 3, 5, 7, 16])
@@ -633,6 +643,13 @@ def two_workers():
         yield pool
 
 
+@pytest.fixture(scope="module")
+def three_workers():
+    """A 3-worker pool: over most band counts its runs are uneven."""
+    with ThreadPoolExecutor(3) as pool:
+        yield pool
+
+
 def _conv_bits(layer, x, gy):
     """forward_nhwc, then grad_x, grad_w and grad_b, as uint32."""
     return [a.view(np.uint32) for a in (layer.forward_nhwc(x), *layer.backward_nhwc(x, gy))]
@@ -651,9 +668,18 @@ class TestConvImageTasks:
     def test_first_batch_starts_the_pool(self, monkeypatch):
         monkeypatch.setattr(nn, "_WORKERS", 2)
         monkeypatch.setattr(nn, "_POOL", None)
+        # one row per band, so only the batch of one and the 2-d array
+        # keep these passes inline
+        monkeypatch.setattr(nn, "_PASS_BYTES", 8 * 3 * 4)
         layer = nn.Conv2d(3, 4)
-        layer.forward_nhwc(np.zeros((1, 4, 8, 3), dtype=np.float32))
-        assert nn._POOL is None  # a batch of one runs inline
+        x = np.zeros((1, 4, 8, 3), dtype=np.float32)
+        y = nn.relu(nn.BatchNorm2d(4).forward_infer_nhwc(layer.forward_nhwc(x)))
+        _, cache = nn.maxpool2x2_forward_nhwc(y)
+        nn.maxpool2x2_backward_nhwc(cache, np.zeros((1, 2, 4, 4), dtype=np.float32))
+        nn.relu_backward(y, y)
+        head = nn.relu(np.zeros((4, 24), dtype=np.float32))
+        nn.relu_backward(head, head)
+        assert nn._POOL is None  # a batch of one and a 2-d array run inline
         layer.forward_nhwc(np.zeros((2, 4, 8, 3), dtype=np.float32))
         pool = nn._POOL
         try:
@@ -743,73 +769,144 @@ class TestConvImageTasks:
 
 
 class TestPassBands:
-    """Batchnorm, the relu backward and the pool backward work through a
-    full-size map one band of rows at a time; a band edge must not change a
-    bit of an element-wise output.  Batchnorm's variance and grad_gamma are
-    summed per band and the band sums added in float64, so the formulas take
-    their sums over the same bands.  The budget is cut to `rows` rows of W*C
-    values (row pairs for the pool), so over the 14 rows of every case 4
-    leaves a short last band."""
+    """Batchnorm, relu, the relu backward and the pool work through a map
+    one band of rows at a time; with two or more images on the pool, each
+    worker takes one run of consecutive bands.  A band edge or a run edge
+    must not change a bit of an element-wise output.  Batchnorm's variance
+    and grad_gamma are summed per band and the band sums added in float64,
+    in band order, so the formulas take their sums over the same bands.
+    Each case runs N = 2, 3 and 5, each inline, with 2 workers and with 3.
+    The budget is cut to `rows` rows of W*C values (row pairs for the pool),
+    so 2 or 4 leaves a short last band over some of the 14, 21 and 35 rows,
+    and 3 workers get uneven runs."""
 
-    N, H, W, C = 2, 7, 6, 3
+    H, W, C = 7, 6, 3
     dtypes = pytest.mark.parametrize("dtype", [np.float32, np.float64])
     band_rows = pytest.mark.parametrize("rows", [1, 2, 4])
+
+    @pytest.fixture
+    def spreads(self, monkeypatch, two_workers, three_workers):
+        """Yields (N, workers) for each batch size and each pool: inline, 2
+        workers, 3 workers."""
+        def each():
+            for n in (2, 3, 5):
+                for workers, pool in ((1, None), (2, two_workers), (3, three_workers)):
+                    monkeypatch.setattr(nn, "_WORKERS", workers)
+                    monkeypatch.setattr(nn, "_POOL", pool)
+                    yield n, workers
+        return each
 
     def _budget(self, monkeypatch, rows, dtype, row_values):
         monkeypatch.setattr(nn, "_PASS_BYTES", rows * row_values * np.dtype(dtype).itemsize)
 
-    def _gauss(self, seed, dtype, shape=None):
-        return _gauss32(seed, *(shape or (self.N, self.H, self.W, self.C))).astype(dtype)
+    def _gauss(self, seed, dtype, shape):
+        return _gauss32(seed, *shape).astype(dtype)
 
     @dtypes
     @band_rows
-    def test_batchnorm_matches_unbanded_formulas(self, monkeypatch, rows, dtype):
-        N, H, W, C = self.N, self.H, self.W, self.C
+    def test_batchnorm_matches_unbanded_formulas(self, monkeypatch, spreads, rows, dtype):
+        H, W, C = self.H, self.W, self.C
         self._budget(monkeypatch, rows, dtype, W * C)
-        cnt = N * H * W
-        layer = nn.BatchNorm2d(C)
-        layer.gamma = 1.0 + 0.5 * self._gauss(80, dtype, (C,))
-        layer.beta = self._gauss(81, dtype, (C,))
-        x = 2.0 + 3.0 * self._gauss(82, dtype)
-        gy = self._gauss(83, dtype)
+        for N, workers in spreads():
+            cnt = N * H * W
+            layer = nn.BatchNorm2d(C)
+            layer.gamma = 1.0 + 0.5 * self._gauss(80, dtype, (C,))
+            layer.beta = self._gauss(81, dtype, (C,))
+            x = 2.0 + 3.0 * self._gauss(82, dtype, (N, H, W, C))
+            gy = self._gauss(83, dtype, (N, H, W, C))
 
-        mean = (np.einsum("nhwc->c", x, dtype=np.float64) / cnt).astype(dtype)
-        d = x - mean
-        inv = (1.0 / np.sqrt(_band_sums(d, d, rows) / cnt + layer.epsilon)).astype(dtype)
-        A = layer.gamma * inv
-        g_gamma = (_band_sums(gy, d, rows) * inv).astype(dtype)
-        g_beta = np.einsum("nhwc->c", gy, dtype=np.float64).astype(dtype)
-        B = (-A * inv * g_gamma / cnt).astype(dtype)
-        Cc = (-A * g_beta / cnt).astype(dtype)
-        want = [d * A + layer.beta, gy * A + d * B + Cc, g_gamma, g_beta]
+            mean = (np.einsum("nhwc->c", x, dtype=np.float64) / cnt).astype(dtype)
+            d = x - mean
+            inv = (1.0 / np.sqrt(_band_sums(d, d, rows) / cnt + layer.epsilon)).astype(dtype)
+            A = layer.gamma * inv
+            g_gamma = (_band_sums(gy, d, rows) * inv).astype(dtype)
+            g_beta = np.einsum("nhwc->c", gy, dtype=np.float64).astype(dtype)
+            B = (-A * inv * g_gamma / cnt).astype(dtype)
+            Cc = (-A * g_beta / cnt).astype(dtype)
+            want = [d * A + layer.beta, gy * A + d * B + Cc, g_gamma, g_beta]
 
-        y, cache = layer.forward_train_nhwc(x)
-        got = [y, *layer.backward_nhwc(cache, gy)]
-        for g, w in zip(got, want):
-            assert g.dtype == dtype and g.shape == w.shape
-            np.testing.assert_array_equal(g.view(_bits(dtype)), w.view(_bits(dtype)))
+            y, cache = layer.forward_train_nhwc(x)
+            got = [y, *layer.backward_nhwc(cache, gy)]
+            for g, w in zip(got, want):
+                assert g.dtype == dtype and g.shape == w.shape
+                np.testing.assert_array_equal(g.view(_bits(dtype)), w.view(_bits(dtype)),
+                                              err_msg=f"N = {N}, {workers} workers")
 
     @dtypes
     @band_rows
-    def test_relu_backward_matches_unbanded_formula(self, monkeypatch, rows, dtype):
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
+    def test_relu_backward_matches_unbanded_formula(self, monkeypatch, spreads, rows, dtype):
         self._budget(monkeypatch, rows, dtype, self.W * self.C)
-        y = nn.relu(self._gauss(84, dtype))
-        gy = self._gauss(85, dtype)  # negative cells where y == 0 must read -0.0
-        got = nn.relu_backward(y, gy)
-        assert got.dtype == dtype
-        np.testing.assert_array_equal(got.view(_bits(dtype)),
-                                      (gy * (y > 0)).view(_bits(dtype)))
+        for N, workers in spreads():
+            shape = (N, self.H, self.W, self.C)
+            msg = f"N = {N}, {workers} workers"
+            x = self._gauss(84, dtype, shape)
+            x.flat[::17], x.flat[5::23] = -0.0, np.nan
+            y = nn.relu(x)
+            assert y.dtype == dtype
+            np.testing.assert_array_equal(y.view(_bits(dtype)),
+                                          np.maximum(x, 0).view(_bits(dtype)), err_msg=msg)
+            gy = self._gauss(85, dtype, shape)  # negative cells where y == 0 must read -0.0
+            gy.flat[3::19], gy.flat[7::29], gy.flat[11::31] = np.nan, np.inf, -np.inf
+            got = nn.relu_backward(y, gy)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got.view(_bits(dtype)),
+                                          (gy * (y > 0)).view(_bits(dtype)), err_msg=msg)
 
     @dtypes
     @band_rows
     @pytest.mark.parametrize("ties", [False, True])
-    def test_pool_backward_matches_reference(self, monkeypatch, rows, dtype, ties):
-        N, H, W, C = self.N, self.H, self.W, self.C
+    def test_pool_backward_matches_reference(self, monkeypatch, spreads, rows, dtype, ties):
+        H, W, C = self.H, self.W, self.C
         self._budget(monkeypatch, rows, dtype, 2 * W * C)
-        x = _gauss32(86, N, C, 2 * H, W).astype(dtype)
-        if ties:
-            x = nn.relu(np.round(x))
-        _pool_against_reference(x, _gauss32(87, N, C, H, W // 2).astype(dtype))
+        for N, _ in spreads():
+            x = _gauss32(86, N, C, 2 * H, W).astype(dtype)
+            if ties:
+                x = nn.relu(np.round(x))
+            _pool_against_reference(x, _gauss32(87, N, C, H, W // 2).astype(dtype))
+
+    def test_run_exception_reaches_the_caller(self, monkeypatch, two_workers):
+        N, H, W, C = 3, self.H, 2 * self.W, self.C
+        monkeypatch.setattr(nn, "_WORKERS", 2)
+        monkeypatch.setattr(nn, "_POOL", two_workers)
+        self._budget(monkeypatch, 2, np.float32, 2 * W * C)
+        layer = nn.BatchNorm2d(C)
+        x, gy = _gauss32(88, N, 2 * H, W, C), _gauss32(89, N, 2 * H, W, C)
+        gp = _gauss32(90, N, H, W // 2, C)
+
+        def passes():
+            y, cache = layer.forward_train_nhwc(x)
+            r = nn.relu(y)
+            p, p_cache = nn.maxpool2x2_forward_nhwc(r)
+            out = [y, *layer.backward_nhwc(cache, gy), r, nn.relu_backward(r, gy), p,
+                   nn.maxpool2x2_backward_nhwc(p_cache, gp)]
+            return [a.view(np.uint32) for a in out], cache, r, p_cache
+
+        _, cache, r, p_cache = passes()
+        spread = nn._spread
+
+        def failing(task, items):
+            def run(item):
+                if item is items[1]:
+                    raise RuntimeError("run 1")
+                return task(item)
+            return spread(run, items)
+
+        monkeypatch.setattr(nn, "_spread", failing)
+        for call in (lambda: layer.forward_train_nhwc(x),
+                     lambda: layer.backward_nhwc(cache, gy),
+                     lambda: nn.relu(x),
+                     lambda: nn.relu_backward(r, gy),
+                     lambda: nn.maxpool2x2_forward_nhwc(r),
+                     lambda: nn.maxpool2x2_backward_nhwc(p_cache, gp)):
+            with pytest.raises(RuntimeError, match="run 1"):
+                call()
+        monkeypatch.setattr(nn, "_spread", spread)
+        threaded, *_ = passes()
+        monkeypatch.setattr(nn, "_WORKERS", 1)
+        inline, *_ = passes()
+        for got, want in zip(threaded, inline):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestDense:
@@ -921,6 +1018,19 @@ class TestAdam:
                 np.sqrt(v * (1.0 / (1.0 - b2 ** t))) + eps)
             assert p.dtype == dtype
             np.testing.assert_array_equal(p.view(_bits(dtype)), want.view(_bits(dtype)))
+
+    def test_shape_mismatch_leaves_every_state_unchanged(self):
+        # param 0 used to be updated before grad 1's shape was checked
+        p, q = np.ones(3, dtype=np.float32), np.ones(2, dtype=np.float32)
+        opt = nn.Adam()
+        opt.register([p, q])
+        opt.step([p, q], [np.ones(3, dtype=np.float32), np.ones(2, dtype=np.float32)])
+        before = [a.copy() for a in (p, q, *opt.first_moment, *opt.second_moment)]
+        with pytest.raises(ShapeError, match=r"grad \(5,\) does not match param \(2,\)"):
+            opt.step([p, q], [np.ones(3, dtype=np.float32), np.ones(5, dtype=np.float32)])
+        assert opt.step_count == 1
+        for got, want in zip((p, q, *opt.first_moment, *opt.second_moment), before):
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_short_grad_list_rejected(self):
         # zip would stop at the shorter list and leave q untouched
