@@ -393,7 +393,6 @@ def _centre_and_dot(x, mean, out, runs, other=None):
     return chain.from_iterable(_spread(run, runs))
 
 
-
 class BatchNorm2d:
     """Per-channel batch normalization over (N, H, W).
 
@@ -581,9 +580,9 @@ def relu(x):
 def relu_backward(y, grad_out):
     """Backward through relu given its output y (y > 0 iff input was > 0).
 
-    The mask y > 0 is written into a band buffer of grad_out's dtype, so the
-    product is float by float: the float-by-bool multiply casts the bool to
-    the same 1.0 or 0.0 in a slower mixed-type loop."""
+    The mask y > 0 is written into a band buffer of grad_out's dtype and
+    the product is float by float, with the bits of grad_out * (y > 0),
+    which casts the bool to the same 1.0 or 0.0."""
     _same_shape("grad_out", grad_out.shape, "output", y.shape)
     out = np.empty(y.shape, dtype=grad_out.dtype)
     flat_y, flat_g, flat_out = y.reshape(-1), grad_out.reshape(-1), out.reshape(-1)
