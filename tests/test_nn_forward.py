@@ -786,8 +786,8 @@ class TestPassBands:
 
     @pytest.fixture
     def spreads(self, monkeypatch, two_workers, three_workers):
-        """Yields (N, workers) for each batch size and each pool: inline, 2
-        workers, 3 workers."""
+        """A generator function: for N = 2, 3 and 5 in turn it sets inline,
+        2 workers and 3 workers, and yields (N, workers) after each."""
         def each():
             for n in (2, 3, 5):
                 for workers, pool in ((1, None), (2, two_workers), (3, three_workers)):
