@@ -94,8 +94,7 @@ Batchnorm applies each per-channel vector, tiled W times, to the
 4-d map, and so are the bits.
 
 The per-element passes over full-size maps run band by band, rows that fit
-_PASS_BYTES at a time, and make no full-size temporary beyond their output;
-relu and the pool forward, when they run inline, are one whole-map call.
+_PASS_BYTES at a time, and make no full-size temporary beyond their output.
 Train-mode batchnorm centres its input band by band, sums the variance
 (and, backward, grad_gamma) of each band in the map's dtype while the band
 is in cache, and adds the band sums in float64.  It scales and shifts its
@@ -130,6 +129,7 @@ Binary cross-entropy inputs are clamped to [1e-7, 1 - 1e-7].
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from itertools import chain
@@ -215,14 +215,10 @@ def _gemm_weights(w, p):
     """GEMM weights of the (out, in, kh, kw) kernel w for patch rows of p
     pixels: (kh * (p+kw-1) * in, p * out), zero where a pixel's window
     misses a column.  It is the transposed view of a contiguous
-    (p, out, kh, p+kw-1, in) array, a copy that moves only `in` innermost.
-    At p = 1 no column is zero, so the copy skips the zero fill: at 512->512
-    it takes 1.45 ms against 1.93 ms zero-filled (p10 of 41 calls), where a
-    contiguous (kh, kw, in, out) copy took 6.8 ms; the GEMM output is the
-    same."""
+    (p, out, kh, p+kw-1, in) array, a copy that moves only `in` innermost:
+    at 512->512 (p = 1) it takes 1.3 ms, where a contiguous (kh, kw, in,
+    out) copy took 6.8 ms; the GEMM output is the same."""
     k_out, c_in, kh, kw = w.shape
-    if p == 1:
-        return np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(k_out, -1).T
     wide = np.zeros((p, k_out, kh, p + kw - 1, c_in), dtype=w.dtype)
     for q in range(p):
         wide[q, :, :, q:q + kw] = w.transpose(0, 2, 3, 1)
@@ -246,8 +242,9 @@ def _im2col(img, r0, r1, p, kh, kw):
 def _spread(task, items):
     """task(item) for each item, as an iterator over the results in order:
     one task per item on _POOL, or inline, as the iterator is read, with one
-    CPU or one item.  A task's exception is raised when its result is
-    reached."""
+    CPU or one item.  A pool task runs in a copy of the caller's context, so
+    it keeps the caller's numpy error state (np.errstate).  A task's
+    exception is raised when its result is reached."""
     global _POOL
     if _WORKERS < 2 or len(items) < 2:
         return map(task, items)
@@ -255,7 +252,8 @@ def _spread(task, items):
         if _POOL is None:
             from concurrent.futures import ThreadPoolExecutor
             _POOL = ThreadPoolExecutor(_WORKERS, "volcnn-conv")
-    return _POOL.map(task, items)
+    contexts = [contextvars.copy_context() for _ in items]
+    return _POOL.map(lambda ctx, item: ctx.run(task, item), contexts, items)
 
 
 def _runs(x, n, row_bytes):
@@ -561,10 +559,7 @@ class Dropout:
 
 
 def relu(x):
-    """max(x, 0); a map of two or more images in runs of bands (_runs)."""
-    runs = _runs(x, x.size, x.itemsize)
-    if len(runs) < 2:
-        return np.maximum(x, 0)
+    """max(x, 0), in runs of bands (_runs)."""
     y = np.empty(x.shape, dtype=x.dtype)
     flat_x, flat_y = x.reshape(-1), y.reshape(-1)
 
@@ -572,40 +567,24 @@ def relu(x):
         for b in bands:
             np.maximum(flat_x[b], 0, out=flat_y[b])
 
-    for _ in _spread(run, runs):
+    for _ in _spread(run, _runs(x, x.size, x.itemsize)):
         pass
     return y
 
 
 def relu_backward(y, grad_out):
-    """Backward through relu given its output y (y > 0 iff input was > 0).
-
-    The mask y > 0 is written into a band buffer of grad_out's dtype and
-    the product is float by float, with the bits of grad_out * (y > 0),
-    which casts the bool to the same 1.0 or 0.0."""
+    """Backward through relu given its output y (y > 0 iff input was > 0)."""
     _same_shape("grad_out", grad_out.shape, "output", y.shape)
     out = np.empty(y.shape, dtype=grad_out.dtype)
     flat_y, flat_g, flat_out = y.reshape(-1), grad_out.reshape(-1), out.reshape(-1)
 
     def run(bands):
-        mask = np.empty(bands[0].stop - bands[0].start, dtype=out.dtype)
         for b in bands:
-            m = mask[:b.stop - b.start]
-            np.greater(flat_y[b], 0, out=m)
-            np.multiply(flat_g[b], m, out=flat_out[b])
+            np.multiply(flat_g[b], flat_y[b] > 0, out=flat_out[b])
 
     for _ in _spread(run, _runs(y, y.size, y.itemsize)):
         pass
     return out
-
-
-def _window_max(quarters, out=None):
-    """Elementwise maximum of the four quarters of a pool window, in
-    (0, 0), (0, 1), (1, 0), (1, 1) order."""
-    y = np.maximum(quarters[0], quarters[1], out=out)
-    np.maximum(y, quarters[2], out=y)
-    np.maximum(y, quarters[3], out=y)
-    return y
 
 
 def maxpool2x2_forward_nhwc(x):
@@ -614,25 +593,23 @@ def maxpool2x2_forward_nhwc(x):
     y is the elementwise maximum of the four strided quarters x[:, dy::2, dx::2].
     The cache is (x, y), references only, so x must not be written to before
     the backward pass rebuilds the routing mask from them.  A window holding
-    NaN pools to NaN.  A map of two or more images is pooled in runs of
-    pooled-row bands (_runs).
+    NaN pools to NaN.  The map is pooled in runs of pooled-row bands (_runs).
     """
     N, H, W, C = _nhwc(x.shape)
     if H % 2 or W % 2:
         raise ShapeError(f"max_pool 2x2/2 needs even spatial dims, got {H}x{W}")
-    runs = _runs(x, N * H // 2, 2 * W * C * x.itemsize)
-    if len(runs) < 2:
-        y = _window_max([x[:, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)])
-        return y, (x, y)
     y = np.empty((N, H // 2, W // 2, C), dtype=x.dtype)
     # pooled row i reads window rows (i, dy, :, dx) of this view
     x_win, y_rows = x.reshape(N * H // 2, 2, W // 2, 2, C), y.reshape(N * H // 2, W // 2, C)
 
     def run(bands):
         for b in bands:
-            _window_max([x_win[b, dy, :, dx] for dy in (0, 1) for dx in (0, 1)], y_rows[b])
+            out = y_rows[b]
+            np.maximum(x_win[b, 0, :, 0], x_win[b, 0, :, 1], out=out)
+            np.maximum(out, x_win[b, 1, :, 0], out=out)
+            np.maximum(out, x_win[b, 1, :, 1], out=out)
 
-    for _ in _spread(run, runs):
+    for _ in _spread(run, _runs(x, N * H // 2, 2 * W * C * x.itemsize)):
         pass
     return y, (x, y)
 

@@ -510,16 +510,6 @@ class TestConvPixelBlocks:
         layer.backward_nhwc(x, layer.forward_nhwc(x))
         assert seen == [((32, 16, 3, 3), 2), ((16, 32, 3, 3), 2)]
 
-    @pytest.mark.parametrize("k, c, kh, kw", [(5, 3, 3, 3), (4, 6, 1, 3), (2, 32, 5, 1)])
-    def test_p1_gemm_weights_equal_the_zero_filled_build(self, k, c, kh, kw):
-        w = _gauss32(51, k, c, kh, kw)
-        wide = np.zeros((1, k, kh, kw, c), dtype=np.float32)
-        wide[0] = w.transpose(0, 2, 3, 1)
-        want = wide.reshape(k, -1).T
-        got = nn._gemm_weights(w, 1)
-        assert got.strides == want.strides
-        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
-
     @pytest.mark.parametrize("kernel", [(1, 1), (3, 5), (5, 3)])
     @pytest.mark.parametrize("w", [4, 8, 12, 5])  # 5: p falls back to 1
     @pytest.mark.parametrize("c", [1, 3, 5, 7, 16])
@@ -907,6 +897,17 @@ class TestPassBands:
         inline, *_ = passes()
         for got, want in zip(threaded, inline):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_runs_keep_the_callers_error_state(self, monkeypatch, two_workers, workers):
+        # inf * 0 wherever y == 0; a pool thread's own error state would warn
+        monkeypatch.setattr(nn, "_WORKERS", workers)
+        monkeypatch.setattr(nn, "_POOL", two_workers)
+        self._budget(monkeypatch, 1, np.float32, self.W * self.C)
+        y = np.zeros((2, self.H, self.W, self.C), dtype=np.float32)
+        gy = np.full(y.shape, np.inf, dtype=np.float32)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            nn.relu_backward(y, gy)
 
 
 class TestDense:
