@@ -79,9 +79,9 @@ In one process on a 2-vCPU host, one BLAS thread, full-net training steps
 at N = 4, 512x512: the conv tasks, switched on and off on alternate steps
 (median of 12 steps each), took the step from 1950 to 1476 ms, conv.fwd
 365 -> 211 ms and conv.bwd 816 -> 475 ms per step.  The pass runs then
-took it from 1621 to 1417 ms (median of 6 processes a side, 8 steps each),
-in ms per step: bn.fwd 153 -> 126, bn.bwd 213 -> 154, relu.fwd 37 -> 28,
-relu.bwd 80 -> 57, pool.fwd 50 -> 35 and pool.bwd 155 -> 116, with conv
+took it from 1368 to 1229 ms (median of 6 processes a side, 8 steps each),
+in ms per step: bn.fwd 137 -> 111, bn.bwd 179 -> 131, relu.fwd 30 -> 22,
+relu.bwd 75 -> 46, pool.fwd 41 -> 28 and pool.bwd 126 -> 101, with conv
 within noise.  At batch 1 nothing is shared out.  In benchmark runs a
 prototype that shared one image's conv bands made the pruned net's
 on-board request slower (p10 49.8 -> 56.3 and 45.9 -> 57.3 ms) and its
