@@ -64,17 +64,18 @@ and grad-input) runs one task per image on a module-level thread pool, the
 data parallelism of Krizhevsky 2014 (arXiv:1404.5997); NumPy releases the
 GIL in the GEMMs, the patch copies and the element-wise loops.  A
 correlation task runs its image's row bands in order and writes only its
-y[n]; a grad_w task returns its image's product, and the caller adds the
-products in image order.  The element-wise passes of a map of two or more
-images (train-mode batchnorm, relu, the pool and their backward passes)
-run as one task per worker, each over one run of consecutive _PASS_BYTES
-bands (below); batchnorm's runs return one sum per band, and the caller
-adds them in band order.  So every output and gradient bit is that of the
-inline loop.  The pool has one worker per CPU in the process's affinity
-mask, read at import and not settable, and starts with the first batch of
-two or more images.  With one CPU or one image, for a 2-d array, or where
-a pass has one band, the tasks run inline.  While grad_w's tasks run, the
-caller sums grad_b; while batchnorm's backward centres its input, grad_beta.
+y[n]; a grad_w task returns its image's product and grad_b sums, and the
+caller adds both in image order.  The element-wise passes (train-mode
+batchnorm, relu, the pool and their backward passes) run through one
+helper, _each_band, over the _PASS_BYTES bands of the map (below): for a
+map of two or more images it runs one task per worker, each over one run
+of consecutive bands, and it returns each band's result in band order.  So
+every output and gradient bit is that of the inline loop.  The pool has
+one worker per CPU in the process's affinity mask, read at import and not
+settable, and starts with the first batch of two or more images.  With one
+CPU or one image, for a 2-d array, or where a pass has one band, the tasks
+run inline.
+
 In one process on a 2-vCPU host, one BLAS thread, full-net training steps
 at N = 4, 512x512: the conv tasks, switched on and off on alternate steps
 (median of 12 steps each), took the step from 1950 to 1476 ms, conv.fwd
@@ -93,15 +94,23 @@ Batchnorm applies each per-channel vector, tiled W times, to the
 (N*H, W*C) view of the map; the arithmetic is that of the broadcast on the
 4-d map, and so are the bits.
 
+Every per-channel sum is taken inside the tasks that read the data, one
+sum per band or image, and the caller adds those sums in float64, in band
+or image order.  A plain sum (batchnorm's mean and grad_beta, the conv's
+grad_b) is a float64 reduction down the rows, W*C values at a time, then
+over W.  A product sum (batchnorm's variance and grad_gamma) is taken in
+the map's dtype while the band is in cache: one float32 sum in order over a
+4x512x512 map drifted 4.8e-4 off float64, relative.
+
 The per-element passes over full-size maps run band by band, rows that fit
 _PASS_BYTES at a time, and make no full-size temporary beyond their output.
-Train-mode batchnorm centres its input band by band, sums the variance
-(and, backward, grad_gamma) of each band in the map's dtype while the band
-is in cache, and adds the band sums in float64.  It scales and shifts its
-centred output in place; its backward pass writes the input gradient over
-its centred-input buffer d as d*B + gy*A + C (addition commutes, so the
-bits are those of gy*A + d*B + C), with one band-sized temporary.  The
-relu and pool backward passes build their masks one band at a time.
+Train-mode batchnorm takes its mean in one banded pass, then centres its
+input band by band; its backward pass sums grad_beta in the bands it
+centres.  It scales and shifts its centred output in place; its backward
+pass writes the input gradient over its centred-input buffer d as
+d*B + gy*A + C (addition commutes, so the bits are those of
+gy*A + d*B + C), with one band-sized temporary.  The relu and pool
+backward passes build their masks one band at a time.
 Median ms of 15 alternating calls at N = 4, float32, one BLAS thread,
 2-vCPU host (2 MiB of L2 per core), against the whole-array passes these
 replaced:
@@ -132,7 +141,6 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -145,8 +153,9 @@ BCE_CLAMP = 1e-7
 # matrix per call (28 MB at 512x512x3) left a pruned-net request's peak RSS
 # varying by up to 23 MB from run to run; few-MB bands keep it within 3 MB.
 _BAND_BYTES = 1 << 22
-# Byte budget of the band of a map that batchnorm, relu and the pool work
-# through at a time (the table in the module docstring).
+# Byte budget of one band of a map in _each_band, the passes of batchnorm,
+# relu and the pool; each task also takes its band's per-channel sums (the
+# table and the sum rule in the module docstring).
 _PASS_BYTES = 1 << 18
 # CPUs this process may run on, read once at import; with one, or for a
 # batch of one, the conv tasks and the pass runs run inline (the module
@@ -256,13 +265,22 @@ def _spread(task, items):
     return _POOL.map(lambda ctx, item: ctx.run(task, item), contexts, items)
 
 
-def _runs(x, n, row_bytes):
-    """The _PASS_BYTES bands over n rows of row_bytes bytes each, as runs of
-    consecutive bands for _spread: one run per worker, as even as the bands
-    allow, if x is a map of two or more images, else one run of them all."""
+def _each_band(task, x, n, row_bytes):
+    """task(b) for each _PASS_BYTES band b over n rows of row_bytes bytes
+    each, as a list of the results in band order.  If x is a map of two or
+    more images, the bands are cut into one run of consecutive bands per
+    worker, as even as the bands allow, and the runs go to _spread; else
+    they run inline."""
     bands = _bands(n, row_bytes, _PASS_BYTES)
     k = min(_WORKERS if x.ndim == 4 and len(x) > 1 else 1, len(bands))
-    return [bands[i * len(bands) // k:(i + 1) * len(bands) // k] for i in range(k)]
+    runs = [bands[i * len(bands) // k:(i + 1) * len(bands) // k] for i in range(k)]
+    return [r for run in _spread(lambda run: [task(b) for b in run], runs) for r in run]
+
+
+def _channel_sums(rows, C):
+    """Per-channel float64 sums of a (rows, W*C) band or image: down the
+    rows, W*C values at a time, then over W."""
+    return np.add.reduce(rows, axis=0, dtype=np.float64).reshape(-1, C).sum(axis=0)
 
 
 def _correlate(x, w, bias=None):
@@ -333,16 +351,17 @@ class Conv2d:
 
         def image(n):
             patches = _im2col(x[n], 0, H, p, kh, kw)
-            return patches.T @ grad_out[n].reshape(H * W // p, p * K)
+            gy = grad_out[n].reshape(H, W * K)
+            return patches.T @ gy.reshape(H * W // p, p * K), _channel_sums(gy, K)
 
         # whole images, not bands: grad_w's summation order ignores
-        # _BAND_BYTES; the images' products are added in image order, so it
-        # ignores which thread made each one too.  On the pool the tasks
-        # start here, and the caller sums grad_b meanwhile (30 ms at b0).
-        parts = _spread(image, range(N))
-        grad_b = np.einsum("nhwc->c", grad_out, dtype=np.float64).astype(x.dtype)
-        for part in parts:
+        # _BAND_BYTES; the images' products and grad_b sums are added in
+        # image order, so it ignores which thread made each one too
+        sums = np.zeros(K)
+        for part, image_sums in _spread(image, range(N)):
             g += part
+            sums += image_sums
+        grad_b = sums.astype(x.dtype)
         # pixel q of a patch row read window columns q..q+kw-1: fold the p
         # diagonal blocks back to (kh, kw, C, K), then to (out, in, kh, kw)
         g = g.reshape(kh, p + kw - 1, C, p, K)
@@ -366,29 +385,6 @@ class Conv2d:
 # ---------------------------------------------------------------------------
 # batch normalization
 # ---------------------------------------------------------------------------
-
-
-def _centre_and_dot(x, mean, out, runs, other=None):
-    """Write x - mean into out band by band, over the row bands of the
-    (N*H, W*C) views x, out and other, one task per run of bands
-    (_spread), and return an iterator over the per-channel sums of
-    other * out (out * out by default), one per band, in band order.  On the
-    pool the tasks start at the call.  Each band's sums are taken in the
-    maps' dtype while the band is in cache, and the caller adds them, in
-    order, to float64 zeros: one float32 sum in order over a 4x512x512 map
-    drifted 4.8e-4 off float64, relative."""
-    C = mean.size
-    tiled = np.tile(mean, out.shape[1] // C)
-
-    def run(bands):
-        sums = []
-        for r in bands:
-            d = np.subtract(x[r], tiled, out=out[r]).reshape(-1, C)
-            sums.append(np.einsum("ic,ic->c", d if other is None
-                                  else other[r].reshape(-1, C), d))
-        return sums
-
-    return chain.from_iterable(_spread(run, runs))
 
 
 class BatchNorm2d:
@@ -422,25 +418,29 @@ class BatchNorm2d:
         if N < 2:
             raise ShapeError(f"train-mode batchnorm needs batch size >= 2, "
                              f"got input {x.shape}")
-        cnt = N * H * W
+        cnt, n, row_bytes = N * H * W, N * H, W * C * x.itemsize
+        xr, rows = _rows(x), np.empty((n, W * C), dtype=x.dtype)
         # Centre before squaring: E[x^2] - E[x]^2 cancels in float32 once the
         # channel mean is large against its spread.
-        mean = (np.einsum("nhwc->c", x, dtype=np.float64) / cnt).astype(x.dtype)
-        rows = np.empty_like(_rows(x))
-        runs = _runs(x, N * H, rows.strides[0])
-        var = sum(_centre_and_dot(_rows(x), mean, rows, runs), np.zeros(C)) / cnt
+        sums = _each_band(lambda b: _channel_sums(xr[b], C), x, n, row_bytes)
+        mean = (sum(sums, np.zeros(C)) / cnt).astype(x.dtype)
+        tiled = np.tile(mean, W)
+
+        def centre(b):
+            d = np.subtract(xr[b], tiled, out=rows[b]).reshape(-1, C)
+            return np.einsum("ic,ic->c", d, d)
+
+        var = sum(_each_band(centre, x, n, row_bytes), np.zeros(C)) / cnt
         y = rows.reshape(x.shape)
         inv = (1.0 / np.sqrt(var + self.epsilon)).astype(x.dtype)
         scale, shift = np.tile(self.gamma * inv, W), np.tile(self.beta, W)
 
-        def scale_and_shift(bands):
-            for b in bands:
-                band = rows[b]
-                band *= scale
-                band += shift
+        def scale_and_shift(b):
+            band = rows[b]
+            band *= scale
+            band += shift
 
-        for _ in _spread(scale_and_shift, runs):
-            pass
+        _each_band(scale_and_shift, x, n, row_bytes)
         m = x.dtype.type(self.momentum)
         self.running_mean = m * self.running_mean + (1 - m) * mean
         self.running_var = m * self.running_var + (1 - m) * var.astype(x.dtype)
@@ -462,17 +462,20 @@ class BatchNorm2d:
         x, mean, inv = cache
         _same_shape("grad_out", grad_out.shape, "input", x.shape)
         N, H, W, _ = x.shape
-        cnt = N * H * W
+        k = mean.size
+        cnt, n, row_bytes = N * H * W, N * H, W * k * x.itemsize
         # Centre first: sum(gy * x) - mean * sum(gy) cancels in float32 once
         # the channel mean is large against its spread.
-        gy = _rows(grad_out)
-        d = np.empty_like(_rows(x))
-        runs = _runs(x, N * H, d.strides[0])
-        sums = _centre_and_dot(_rows(x), mean, d, runs, gy)
-        # on the pool the runs above have started; the caller sums grad_beta
-        # meanwhile
-        grad_beta = np.einsum("nhwc->c", grad_out, dtype=np.float64).astype(x.dtype)
-        grad_gamma = (sum(sums, np.zeros(mean.size)) * inv).astype(x.dtype)
+        xr, gy, d = _rows(x), _rows(grad_out), np.empty((n, W * k), dtype=x.dtype)
+        tiled = np.tile(mean, W)
+
+        def centre(b):
+            band = np.subtract(xr[b], tiled, out=d[b]).reshape(-1, k)
+            return np.einsum("ic,ic->c", gy[b].reshape(-1, k), band), _channel_sums(gy[b], k)
+
+        dots, sums = zip(*_each_band(centre, x, n, row_bytes))
+        grad_gamma = (sum(dots, np.zeros(k)) * inv).astype(x.dtype)
+        grad_beta = sum(sums, np.zeros(k)).astype(x.dtype)
         # grad_x = B*(x - mean) + A*gy + C per channel, from the batch-statistics
         # chain rule, written over d band by band
         A = self.gamma * inv
@@ -480,15 +483,13 @@ class BatchNorm2d:
         C = (-A * grad_beta / cnt).astype(x.dtype)
         A, B, C = np.tile(A, W), np.tile(B, W), np.tile(C, W)
 
-        def grad_input(bands):
-            for b in bands:
-                band = d[b]
-                band *= B
-                band += np.multiply(gy[b], A, dtype=x.dtype)
-                band += C
+        def grad_input(b):
+            band = d[b]
+            band *= B
+            band += np.multiply(gy[b], A, dtype=x.dtype)
+            band += C
 
-        for _ in _spread(grad_input, runs):
-            pass
+        _each_band(grad_input, x, n, row_bytes)
         return d.reshape(x.shape), grad_gamma, grad_beta
 
 
@@ -559,16 +560,10 @@ class Dropout:
 
 
 def relu(x):
-    """max(x, 0), in runs of bands (_runs)."""
+    """max(x, 0), band by band (_each_band)."""
     y = np.empty(x.shape, dtype=x.dtype)
     flat_x, flat_y = x.reshape(-1), y.reshape(-1)
-
-    def run(bands):
-        for b in bands:
-            np.maximum(flat_x[b], 0, out=flat_y[b])
-
-    for _ in _spread(run, _runs(x, x.size, x.itemsize)):
-        pass
+    _each_band(lambda b: np.maximum(flat_x[b], 0, out=flat_y[b]), x, x.size, x.itemsize)
     return y
 
 
@@ -577,13 +572,8 @@ def relu_backward(y, grad_out):
     _same_shape("grad_out", grad_out.shape, "output", y.shape)
     out = np.empty(y.shape, dtype=grad_out.dtype)
     flat_y, flat_g, flat_out = y.reshape(-1), grad_out.reshape(-1), out.reshape(-1)
-
-    def run(bands):
-        for b in bands:
-            np.multiply(flat_g[b], flat_y[b] > 0, out=flat_out[b])
-
-    for _ in _spread(run, _runs(y, y.size, y.itemsize)):
-        pass
+    _each_band(lambda b: np.multiply(flat_g[b], flat_y[b] > 0, out=flat_out[b]),
+               y, y.size, y.itemsize)
     return out
 
 
@@ -593,7 +583,7 @@ def maxpool2x2_forward_nhwc(x):
     y is the elementwise maximum of the four strided quarters x[:, dy::2, dx::2].
     The cache is (x, y), references only, so x must not be written to before
     the backward pass rebuilds the routing mask from them.  A window holding
-    NaN pools to NaN.  The map is pooled in runs of pooled-row bands (_runs).
+    NaN pools to NaN.  The map is pooled in bands of pooled rows (_each_band).
     """
     N, H, W, C = _nhwc(x.shape)
     if H % 2 or W % 2:
@@ -602,15 +592,13 @@ def maxpool2x2_forward_nhwc(x):
     # pooled row i reads window rows (i, dy, :, dx) of this view
     x_win, y_rows = x.reshape(N * H // 2, 2, W // 2, 2, C), y.reshape(N * H // 2, W // 2, C)
 
-    def run(bands):
-        for b in bands:
-            out = y_rows[b]
-            np.maximum(x_win[b, 0, :, 0], x_win[b, 0, :, 1], out=out)
-            np.maximum(out, x_win[b, 1, :, 0], out=out)
-            np.maximum(out, x_win[b, 1, :, 1], out=out)
+    def band(b):
+        out = y_rows[b]
+        np.maximum(x_win[b, 0, :, 0], x_win[b, 0, :, 1], out=out)
+        np.maximum(out, x_win[b, 1, :, 0], out=out)
+        np.maximum(out, x_win[b, 1, :, 1], out=out)
 
-    for _ in _spread(run, _runs(x, N * H // 2, 2 * W * C * x.itemsize)):
-        pass
+    _each_band(band, x, N * H // 2, 2 * W * C * x.itemsize)
     return y, (x, y)
 
 
@@ -634,19 +622,17 @@ def maxpool2x2_backward_nhwc(cache, grad_out):
     x_win, gx_win = x.reshape(windows), gx.view(bits).reshape(windows)
     y_rows, g_rows = y.reshape(pooled), grad_out.view(bits).reshape(pooled)
 
-    def run(bands):
-        for b in bands:
-            free = np.ones(y_rows[b].shape, dtype=bool)
-            hit = np.empty_like(free)
-            for dy in (0, 1):
-                for dx in (0, 1):
-                    np.equal(x_win[b, dy, :, dx], y_rows[b], out=hit)
-                    hit &= free
-                    free ^= hit
-                    np.multiply(g_rows[b], hit, out=gx_win[b, dy, :, dx])
+    def band(b):
+        free = np.ones(y_rows[b].shape, dtype=bool)
+        hit = np.empty_like(free)
+        for dy in (0, 1):
+            for dx in (0, 1):
+                np.equal(x_win[b, dy, :, dx], y_rows[b], out=hit)
+                hit &= free
+                free ^= hit
+                np.multiply(g_rows[b], hit, out=gx_win[b, dy, :, dx])
 
-    for _ in _spread(run, _runs(x, pooled[0], 2 * W * C * x.itemsize)):
-        pass
+    _each_band(band, x, pooled[0], 2 * W * C * x.itemsize)
     return gx
 
 

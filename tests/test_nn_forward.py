@@ -84,6 +84,18 @@ class TestConv2d:
         _, _, gb = layer.backward_nhwc(x, gy)
         np.testing.assert_allclose(gb, gy.sum(axis=(0, 1, 2)), rtol=1e-12)
 
+    def test_grad_bias_matches_float64_on_a_full_size_map(self):
+        # b0's backward in training, on a float32 gradient spanning six
+        # decades with both signs, where a float32 sum cancels
+        gen = np.random.default_rng(1)
+        shape = (4, 512, 512, 16)
+        gy = np.power(np.float32(10), 6 * gen.random(shape, dtype=np.float32) - 3)
+        np.negative(gy, out=gy, where=gen.random(shape, dtype=np.float32) < 0.5)
+        layer = nn.Conv2d(3, 16)
+        x = np.zeros((*shape[:3], 3), dtype=np.float32)
+        _, _, gb = layer.backward_nhwc(x, gy, need_grad_input=False)
+        _assert_float64_sum(gb, gy.sum(axis=(0, 1, 2), dtype=np.float64))
+
 
 class TestBatchNorm2d:
     def test_infer_identity_normalization(self):
@@ -175,7 +187,7 @@ class TestBatchNorm2d:
     def test_train_statistics_match_float64_on_a_full_size_map(self):
         # b0's shape in training: a float32 sum in order over the 1M values
         # of a channel read the variance 4.8e-4 and grad_gamma 2.2e-4 off
-        # float64, relative
+        # float64, relative; the mean and grad_beta are summed in float64
         gen = np.random.default_rng(0)
         shape = (4, 512, 512, 16)
         x = 0.3 + 0.5 * gen.standard_normal(shape, dtype=np.float32)
@@ -184,9 +196,11 @@ class TestBatchNorm2d:
         eps = layer.epsilon
         _, cache = layer.forward_train_nhwc(x)
         inv = cache[2]
-        _, g_gamma, _ = layer.backward_nhwc(cache, gy)
+        _, g_gamma, g_beta = layer.backward_nhwc(cache, gy)
         cnt = x.size // 16
         mean = np.einsum("nhwc->c", x, dtype=np.float64) / cnt
+        _assert_float64_sum(cache[1], mean)
+        _assert_float64_sum(g_beta, np.einsum("nhwc->c", gy, dtype=np.float64))
         var = np.einsum("nhwc,nhwc->c", x, x, dtype=np.float64) / cnt - mean ** 2
         var_got = 1.0 / np.square(inv.astype(np.float64)) - eps
         assert np.abs(var_got - var).max() / var.max() <= 1e-6
@@ -374,6 +388,13 @@ def _pool_against_reference(x_nchw, gy_nchw):
 def _bits(dtype):
     """The unsigned integer dtype a float array is compared through, bit for bit."""
     return np.dtype(f"u{np.dtype(dtype).itemsize}")
+
+
+def _assert_float64_sum(got, want):
+    """got is float32 and each of its values within one float32 step of the
+    float64 sum want: a sum taken in float64 and rounded once."""
+    assert got.dtype == np.float32
+    assert np.all(np.abs(got - want) <= np.abs(want) * 2.0 ** -23)
 
 
 def _gauss32(seed, *shape):
@@ -647,9 +668,9 @@ def _conv_bits(layer, x, gy):
 
 class TestConvImageTasks:
     """A conv pass runs one task per image on nn._POOL, inline with one
-    worker (nn._WORKERS) or one image.  Each task writes only its image's output, and the
-    images' grad_w products are added in image order, so every output and
-    gradient bit equals the inline run's."""
+    worker (nn._WORKERS) or one image.  Each task writes only its image's
+    output, and the images' grad_w products and grad_b sums are added in
+    image order, so every output and gradient bit equals the inline run's."""
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
     def test_workers_follow_the_affinity_mask(self):
@@ -760,15 +781,18 @@ class TestConvImageTasks:
 
 class TestPassBands:
     """Batchnorm, relu, the relu backward and the pool work through a map
-    one band of rows at a time; with two or more images on the pool, each
-    worker takes one run of consecutive bands.  A band edge or a run edge
-    must not change a bit of an element-wise output.  Batchnorm's variance
-    and grad_gamma are summed per band and the band sums added in float64,
-    in band order, so the formulas take their sums over the same bands.
-    Each case runs N = 2, 3 and 5, each inline, with 2 workers and with 3.
-    The budget is cut to `rows` rows of W*C values (row pairs for the pool),
-    so 2 or 4 leaves a short last band over some of the 14, 21 and 35 rows,
-    and 3 workers get uneven runs."""
+    one band of rows at a time (nn._each_band); with two or more images on
+    the pool, each worker takes one run of consecutive bands.  A band edge
+    or a run edge must not change a bit of an element-wise output.  Each of
+    batchnorm's per-channel sums is taken per band and the band sums added
+    in float64, in band order.  The variance and grad_gamma are band sums in
+    the maps' dtype, so the formulas take them over the same bands; the mean
+    and grad_beta are float64 sums, which over these few values come out the
+    same in any order, so the formulas take them whole.  Each case runs
+    N = 2, 3 and 5, each inline, with 2 workers and with 3.  The budget is
+    cut to `rows` rows of W*C values (row pairs for the pool), so 2 or 4
+    leaves a short last band over some of the 14, 21 and 35 rows, and 3
+    workers get uneven runs."""
 
     H, W, C = 7, 6, 3
     dtypes = pytest.mark.parametrize("dtype", [np.float32, np.float64])
