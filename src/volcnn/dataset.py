@@ -88,10 +88,15 @@ def build_manifest(root, seed=0) -> DatasetManifest:
     Val gets at least one sample whenever train leaves two or more, so
     below 10 per class val is not empty and test keeps one (4 per class
     split 2/1/1).  The same (root, seed) always gives the same split.
+    A root that cannot be listed raises CatalogError naming it.
     """
     ft, fv, _ = SPLIT_FRACS
+    try:
+        names = sorted(os.listdir(root))
+    except OSError as e:
+        raise CatalogError(f"{root}: cannot read: {e.strerror}") from None
     entries = []
-    for name in sorted(os.listdir(root)):
+    for name in names:
         d = os.path.join(root, name)
         if not os.path.isdir(d) or not os.path.exists(os.path.join(d, PATCH_FILENAME)):
             continue

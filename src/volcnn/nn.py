@@ -53,11 +53,11 @@ same-padded correlation of grad_out with the kernel flipped in both spatial
 axes and its in/out channels swapped; p follows the same rule.  The full
 net's b1 (16 -> 32) grad-input reads 32 channels and writes 16, so it runs
 at p = 2: 73.9 ms against 87.1 at p = 1 (N = 4 at 256, median of 7).  The
-gradient w.r.t. the weights is the input's blocked patch matrix,
-transposed, times grad_out as (H*W/p, p*K): pixel q of a patch row read
-window columns q..q+kw-1, so its diagonal block of the product holds the
-(kh, kw, C, K) gradient of those pixels, and the p blocks are summed.
-That sum changes only the summation order against p = 1.
+gradient w.r.t. the weights is grad_out as (H*W/p, p*K), transposed,
+times the input's blocked patch matrix.  That product has the layout of
+the expanded kernel, and it is folded as the adjoint of the expansion:
+pixel q of a patch row read window columns q..q+kw-1, so the p diagonal
+blocks are summed.  That changes only the summation order against p = 1.
 
 The images of a batch are independent, so each conv pass (forward, grad_w
 and grad-input) runs one task per image on a module-level thread pool, the
@@ -347,12 +347,12 @@ class Conv2d:
         K, _, kh, kw = self.weights.shape
         _same_shape("grad_out", grad_out.shape, "output", (N, H, W, K))
         p = _block_width(C, W)
-        g = np.zeros((kh * (p + kw - 1) * C, p * K), dtype=x.dtype)
+        g = np.zeros((p * K, kh * (p + kw - 1) * C), dtype=x.dtype)
 
         def image(n):
             patches = _im2col(x[n], 0, H, p, kh, kw)
             gy = grad_out[n].reshape(H, W * K)
-            return patches.T @ gy.reshape(H * W // p, p * K), _channel_sums(gy, K)
+            return gy.reshape(H * W // p, p * K).T @ patches, _channel_sums(gy, K)
 
         # whole images, not bands: grad_w's summation order ignores
         # _BAND_BYTES; the images' products and grad_b sums are added in
@@ -362,19 +362,13 @@ class Conv2d:
             g += part
             sums += image_sums
         grad_b = sums.astype(x.dtype)
-        # pixel q of a patch row read window columns q..q+kw-1: fold the p
-        # diagonal blocks back to (kh, kw, C, K), then to (out, in, kh, kw)
-        g = g.reshape(kh, p + kw - 1, C, p, K)
-        taps = g[:, :kw, :, 0]
+        # g is laid out as _gemm_weights' (p, out, kh, p+kw-1, in): sum the
+        # p diagonal blocks over the slices it writes them to
+        g = g.reshape(p, K, kh, p + kw - 1, C)
+        taps = g[0, :, :, :kw]
         for q in range(1, p):
-            taps = taps + g[:, q:q + kw, :, q]
-        # one 2-D (C, K) transpose per tap: at 512 -> 512 the nine took
-        # 10.5 ms, where one 4-D transposed copy, reading C * K * 4 bytes
-        # apart, took 21.9 ms; below 256 channels both take under 0.6 ms
-        grad_w = np.empty((K, C, kh, kw), dtype=x.dtype)
-        for dy in range(kh):
-            for dx in range(kw):
-                grad_w[:, :, dy, dx] = taps[dy, dx].T
+            taps = taps + g[q, :, :, q:q + kw]
+        grad_w = np.ascontiguousarray(taps.transpose(0, 3, 1, 2))
         grad_x = None
         if need_grad_input:
             flipped = self.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -65,6 +66,20 @@ class TestManifest:
         assert rows(7) == rows(7)
         assert rows(8) != rows(7)
         assert [r[:3] for r in rows(8)] == [r[:3] for r in rows(7)]
+
+    @pytest.mark.parametrize("kind, error", [("missing", "No such file or directory"),
+                                             ("file", "Not a directory"),
+                                             ("unreadable", "Permission denied")])
+    def test_unlistable_root_names_it(self, tmp_path, kind, error):
+        root = tmp_path / "root"
+        if kind == "file":
+            root.write_bytes(b"")
+        elif kind == "unreadable":
+            if os.geteuid() == 0:
+                pytest.skip("root lists a directory whatever its mode")
+            root.mkdir(mode=0)
+        with pytest.raises(CatalogError, match=f"^{re.escape(str(root))}: cannot read: {error}$"):
+            ds.build_manifest(str(root))
 
 
 class TestSmoothField:
