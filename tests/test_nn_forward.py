@@ -486,7 +486,6 @@ class TestConvBackwardOracle:
     def test_property_matches_reference(self, n, c, k, kh, kw, h, w, seed):
         _conv_against_reference(n, c, k, (kh, kw), h, w, seed)
 
-    # the 3x3 cases keep their plain "c-k" ids
     @pytest.mark.parametrize("c, k, kh, kw", [
         pytest.param(c, k, kh, kw, id=f"{c}-{k}" + ("" if kh == kw else f"-{kh}x{kw}"))
         for kh, kw in [(3, 3), (3, 5), (5, 3)]
