@@ -353,17 +353,14 @@ def synth_generate(n_per_class, seed, out_dir,
     os.makedirs(out_dir, exist_ok=True)
     root = RngStream(seed)
     width = max(4, len(str(n_per_class)))
-    for i in range(n_per_class):
-        rng = root.fork(f"eruption/{i}")
-        bands = _gen_eruption(rng, size, size)
-        _write_sample(out_dir, f"eruption_{i:0{width}d}", bands,
-                      LABEL_ERUPTION, SUBCLASS_ERUPTION, rng.fork("meta"))
-    for i in range(n_per_class):
-        subclass = SUBCLASSES_NEGATIVE[i % len(SUBCLASSES_NEGATIVE)]
+    negative = SUBCLASSES_NEGATIVE
+    samples = [(LABEL_ERUPTION, SUBCLASS_ERUPTION, i) for i in range(n_per_class)] + [
+        (LABEL_NO_ERUPTION, negative[i % len(negative)], i) for i in range(n_per_class)]
+    for label, subclass, i in samples:
         rng = root.fork(f"{subclass}/{i}")
         bands = _GENERATORS[subclass](rng, size, size)
         _write_sample(out_dir, f"{subclass}_{i:0{width}d}", bands,
-                      LABEL_NO_ERUPTION, subclass, rng.fork("meta"))
+                      label, subclass, rng.fork("meta"))
     return build_manifest(out_dir, seed=seed)
 
 

@@ -286,12 +286,10 @@ def add_gaussian_noise(image: np.ndarray, sigma: float, rng: RngStream) -> np.nd
     """Independent N(0, sigma^2) per element, result clipped to [0, 1].
 
     The normals are float32 draws (RngStream.gaussian32), one raw 64-bit
-    output per two elements, scaled by sigma in float32.
+    output per two elements, sigma 0 included, scaled by sigma in float32.
     """
     if not (np.isfinite(sigma) and sigma >= 0):
         raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
-    if sigma == 0:
-        return image.copy()
     noise = rng.gaussian32(image.size).reshape(image.shape)
     noise *= np.float32(sigma)
     out = image + noise.astype(image.dtype, copy=False)

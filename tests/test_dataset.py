@@ -49,6 +49,10 @@ class TestManifest:
             got = [s.split for s in manifest.samples if s.label == label]
             # floor(0.7 * 13) = 9, floor(0.1 * 13) = 1, the remainder 3
             assert [got.count(n) for n in ("train", "val", "test")] == [9, 1, 3]
+        # a stray file and a directory without bands.vbp are not samples
+        (tmp_path / "notes.txt").write_text("")
+        (tmp_path / "empty").mkdir()
+        assert ds.build_manifest(str(tmp_path), seed=3).samples == manifest.samples
 
     @pytest.mark.parametrize("n, want", [(2, [1, 0, 1]), (3, [2, 0, 1]), (4, [2, 1, 1])])
     def test_small_classes_keep_one_val_and_one_test(self, tmp_path, n, want):
@@ -122,6 +126,11 @@ class TestSynthGenerate:
         root, _ = synth
         ds.synth_generate(10, seed=8, out_dir=str(tmp_path / "other"), size=SIZE)
         assert _tree_bytes(tmp_path / "other") != _tree_bytes(root)
+
+    def test_no_samples_rejected(self, tmp_path):
+        with pytest.raises(InvalidParameterError, match="n_per_class must be >= 1"):
+            ds.synth_generate(0, seed=1, out_dir=str(tmp_path / "none"), size=SIZE)
+        assert not (tmp_path / "none").exists()
 
     def test_eruptions_hot_and_clouds_cold_in_swir2(self, synth):
         _, manifest = synth
@@ -232,6 +241,11 @@ class TestBalancedBatches:
         _, manifest = synth
         with pytest.raises(InvalidParameterError, match="epoch_len"):
             ds.balanced_batches(manifest.split("train"), 4, 1, RngStream(0))
+
+    def test_batch_size_of_one_rejected(self, synth):
+        _, manifest = synth
+        with pytest.raises(InvalidParameterError, match="batch_size must be >= 2"):
+            ds.balanced_batches(manifest.split("train"), 1, 8, RngStream(0))
 
     def test_batches_cover_epoch_without_a_batch_of_one(self, synth):
         _, manifest = synth

@@ -1,5 +1,6 @@
 import datetime
 import hashlib
+import os
 import struct
 import tracemalloc
 
@@ -45,6 +46,15 @@ class TestNormalizeSensor:
         with pytest.raises(InvalidParameterError,
                            match="patch sensor LANDSAT7 != profile SENTINEL2"):
             pp.normalize_sensor(raw, pp.PROFILES[pp.Sensor.SENTINEL2])
+
+    @pytest.mark.parametrize("scale, offset, error", [
+        ((1.0,) * 4, (0.0,) * 5, "5 per-band scale/offset values"),
+        ((1.0,) * 5, (0.0,) * 6, "5 per-band scale/offset values"),
+        ((1.0, 1.0, 0.0, 1.0, 1.0), (0.0,) * 5, "scales must be > 0"),
+    ], ids=["four-scales", "six-offsets", "zero-scale"])
+    def test_profile_needs_five_positive_scales(self, scale, offset, error):
+        with pytest.raises(InvalidParameterError, match=error):
+            pp.SensorProfile(pp.Sensor.SYNTHETIC, scale, offset)
 
 
 class TestMergeBands:
@@ -118,8 +128,10 @@ class TestBicubicResize:
         np.testing.assert_allclose(out, img, atol=1e-6)
 
     def test_too_small_rejected(self):
-        with pytest.raises(ShapeError):
-            pp.bicubic_resize(np.zeros((1, 3, 8), dtype=np.float32))
+        for shape, error in [((1, 3, 8), "too small for bicubic resize: 3x8"),
+                             ((3, 8), r"expected \(C, H, W\), got \(3, 8\)")]:
+            with pytest.raises(ShapeError, match=error):
+                pp.bicubic_resize(np.zeros(shape, dtype=np.float32))
 
     def test_warm_composite_resize_peak(self):
         # Input 0.75 MiB, float64 copy 1.5, output 3, one resampling matrix
@@ -229,6 +241,11 @@ class TestGaussianNoise:
         img = RngStream(1).uniform(48).reshape(3, 4, 4).astype(np.float32)
         out = pp.add_gaussian_noise(img, 0.0, RngStream(2))
         np.testing.assert_array_equal(out, img)
+
+    def test_sigma_zero_clips(self):
+        img = np.array([[[1.5, -0.2, 0.5]]], dtype=np.float32)
+        out = pp.add_gaussian_noise(img, 0.0, RngStream(2))
+        np.testing.assert_array_equal(out, np.clip(img, 0.0, 1.0))
 
     def test_noise_std_matches_sigma(self):
         img = np.full((1, 512, 512), 0.5, dtype=np.float32)
@@ -453,6 +470,9 @@ class TestPlaneFiles:
         path.write_bytes(data[:len(data) // 2])
         with pytest.raises(ModelFormatError, match="truncated planes at offset 304$"):
             pp.load_band_planes(path)
+        path.write_bytes(data[:5])
+        with pytest.raises(ModelFormatError, match="truncated header at offset 5$"):
+            pp.load_band_planes(path)
 
     @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
     @pytest.mark.parametrize("h, w, k", [(6, 5, 0), (6, 5, 17), (512, 512, 3 * 512 * 512 - 1)],
@@ -574,6 +594,27 @@ class TestPlaneFiles:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
+    @pytest.mark.parametrize("change, error", [(-6, "truncated planes"),
+                                               (+1, "trailing bytes")],
+                             ids=["shrinks", "grows"])
+    def test_size_change_after_the_size_check(self, tmp_path, monkeypatch, fmt, change,
+                                              error):
+        # 64x64 planes outgrow the reader's 8 KiB buffer, so the payload read
+        # after fstat sees the change
+        path = tmp_path / "planes.bin"
+        save_planes(fmt, path, random_planes(fmt, 64, 64, seed=2))
+        size = path.stat().st_size
+        fstat = os.fstat
+        def fstat_then_resize(fd):
+            st = fstat(fd)
+            os.truncate(path, size + change)
+            return st
+        monkeypatch.setattr(os, "fstat", fstat_then_resize)
+        with pytest.raises(ModelFormatError,
+                           match=f"{error} at offset {min(size, size + change)}$"):
+            load_planes(fmt, path)
 
     @pytest.mark.parametrize("fmt", ["vbp1", "vrc1"])
     @pytest.mark.parametrize("shape, error", [

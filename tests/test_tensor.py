@@ -54,8 +54,9 @@ class TestGaussian32:
         np.testing.assert_array_equal(s.raw(2), RngStream(8).raw(6)[4:])
 
     def test_negative_count_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            RngStream(1).gaussian32(-1)
+        for draw in (RngStream(1).gaussian32, RngStream(1).raw):
+            with pytest.raises(InvalidParameterError, match="draw count must be >= 0"):
+                draw(-1)
 
     def test_moments_and_tail_of_n01(self):
         # Bounds are five standard errors of each statistic under N(0, 1).
@@ -114,3 +115,5 @@ class TestRngStream:
         assert v.min() >= 0 and v.max() <= 6
         # all values hit for a healthy stream
         assert set(np.unique(v)) == set(range(7))
+        with pytest.raises(InvalidParameterError, match="bound must be >= 1"):
+            RngStream(11).integers(1, 0)
