@@ -105,12 +105,13 @@ the map's dtype while the band is in cache: one float32 sum in order over a
 The per-element passes over full-size maps run band by band, rows that fit
 _PASS_BYTES at a time, and make no full-size temporary beyond their output.
 Train-mode batchnorm takes its mean in one banded pass, then centres its
-input band by band; its backward pass sums grad_beta in the bands it
-centres.  It scales and shifts its centred output in place; its backward
-pass writes the input gradient over its centred-input buffer d as
-d*B + gy*A + C (addition commutes, so the bits are those of
-gy*A + d*B + C), with one band-sized temporary.  The relu and pool
-backward passes build their masks one band at a time.
+input band by band into the buffer d that its cache keeps, and writes its
+scaled and shifted output to a second one.  Its backward pass takes
+grad_gamma's dots and grad_beta's sums from grad_out and d, then writes
+the input gradient over d as d*B + gy*A + C (addition commutes, so the
+bits are those of gy*A + d*B + C), with one band-sized temporary.  The
+relu backward pass writes over grad_out; it and the pool backward pass
+build their masks one band at a time.
 Median ms of 15 alternating calls at N = 4, float32, one BLAS thread,
 2-vCPU host (2 MiB of L2 per core), against the whole-array passes these
 replaced:
@@ -126,8 +127,8 @@ replaced:
 256 KiB bands keep a pass's few band-sized operands in L2; 64 KiB bands
 pay a call per row or two.  Most of the rest of the saving is the
 full-size arrays no longer made, since each fresh 67 MB map faults in its
-pages.  relu.bwd's time is that of its fresh output: its banded mask saves
-16 MB at b0, not time.
+pages.  relu.bwd's time was that of its fresh output, which it no longer
+makes: its banded mask saves 16 MB at b0, not time.
 
 Hyperparameters follow the conventions of the training-framework family
 this detector was prototyped with.  Adam's beta1 0.9, beta2 0.999 and epsilon
@@ -406,7 +407,10 @@ class BatchNorm2d:
                              f"mean and var {tuple(a.shape for a in stats)}")
 
     def forward_train_nhwc(self, x):
-        """Normalize by batch statistics; returns (y, cache), updates running stats."""
+        """Normalize by batch statistics; returns (y, cache), updates running stats.
+
+        The cache is [x - mean, inv], a list; it does not reference x.
+        """
         self._check(x)
         N, H, W, C = x.shape
         if N < 2:
@@ -425,21 +429,19 @@ class BatchNorm2d:
             return np.einsum("ic,ic->c", d, d)
 
         var = sum(_each_band(centre, x, n, row_bytes), np.zeros(C)) / cnt
-        y = rows.reshape(x.shape)
         inv = (1.0 / np.sqrt(var + self.epsilon)).astype(x.dtype)
         scale, shift = np.tile(self.gamma * inv, W), np.tile(self.beta, W)
+        y = np.empty_like(rows)
 
         def scale_and_shift(b):
-            band = rows[b]
-            band *= scale
+            band = np.multiply(rows[b], scale, out=y[b])
             band += shift
 
         _each_band(scale_and_shift, x, n, row_bytes)
         m = x.dtype.type(self.momentum)
         self.running_mean = m * self.running_mean + (1 - m) * mean
         self.running_var = m * self.running_var + (1 - m) * var.astype(x.dtype)
-        cache = (x, mean, inv)
-        return y, cache
+        return y.reshape(x.shape), [rows.reshape(x.shape), inv]
 
     def forward_infer_nhwc(self, x):
         """Normalize by the running statistics."""
@@ -453,38 +455,47 @@ class BatchNorm2d:
         return y.reshape(x.shape)
 
     def backward_nhwc(self, cache, grad_out):
-        x, mean, inv = cache
-        _same_shape("grad_out", grad_out.shape, "input", x.shape)
-        N, H, W, _ = x.shape
-        k = mean.size
-        cnt, n, row_bytes = N * H * W, N * H, W * k * x.itemsize
-        # Centre first: sum(gy * x) - mean * sum(gy) cancels in float32 once
-        # the channel mean is large against its spread.
-        xr, gy, d = _rows(x), _rows(grad_out), np.empty((n, W * k), dtype=x.dtype)
-        tiled = np.tile(mean, W)
+        """Gradients of forward_train_nhwc: (grad_input, grad_gamma, grad_beta).
 
-        def centre(b):
-            band = np.subtract(xr[b], tiled, out=d[b]).reshape(-1, k)
+        A cache serves one backward pass: grad_input is written over the
+        centred input it holds, and the cache gives that buffer up, so a
+        second call with it raises InvalidParameterError.  grad_out is only
+        read.
+        """
+        d, inv = cache
+        if d is None:
+            raise InvalidParameterError("this batchnorm cache was used by a backward pass")
+        _same_shape("grad_out", grad_out.shape, "input", d.shape)
+        cache[0] = None
+        N, H, W, _ = d.shape
+        k = inv.size
+        cnt, n, row_bytes = N * H * W, N * H, W * k * d.itemsize
+        # d is centred: sum(gy * x) - mean * sum(gy) cancels in float32 once
+        # the channel mean is large against its spread.
+        dr, gy = _rows(d), _rows(grad_out)
+
+        def dots_and_sums(b):
+            band = dr[b].reshape(-1, k)
             return np.einsum("ic,ic->c", gy[b].reshape(-1, k), band), _channel_sums(gy[b], k)
 
-        dots, sums = zip(*_each_band(centre, x, n, row_bytes))
-        grad_gamma = (sum(dots, np.zeros(k)) * inv).astype(x.dtype)
-        grad_beta = sum(sums, np.zeros(k)).astype(x.dtype)
+        dots, sums = zip(*_each_band(dots_and_sums, d, n, row_bytes))
+        grad_gamma = (sum(dots, np.zeros(k)) * inv).astype(d.dtype)
+        grad_beta = sum(sums, np.zeros(k)).astype(d.dtype)
         # grad_x = B*(x - mean) + A*gy + C per channel, from the batch-statistics
         # chain rule, written over d band by band
         A = self.gamma * inv
-        B = (-A * inv * grad_gamma / cnt).astype(x.dtype)
-        C = (-A * grad_beta / cnt).astype(x.dtype)
+        B = (-A * inv * grad_gamma / cnt).astype(d.dtype)
+        C = (-A * grad_beta / cnt).astype(d.dtype)
         A, B, C = np.tile(A, W), np.tile(B, W), np.tile(C, W)
 
         def grad_input(b):
-            band = d[b]
+            band = dr[b]
             band *= B
-            band += np.multiply(gy[b], A, dtype=x.dtype)
+            band += np.multiply(gy[b], A, dtype=d.dtype)
             band += C
 
-        _each_band(grad_input, x, n, row_bytes)
-        return d.reshape(x.shape), grad_gamma, grad_beta
+        _each_band(grad_input, d, n, row_bytes)
+        return d, grad_gamma, grad_beta
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +541,12 @@ class Dropout:
         self.rate = rate
 
     def forward(self, x, mode="infer", rng: RngStream | None = None):
-        """Returns (y, mask). Infer mode is the identity with mask None."""
-        if mode == "infer" or self.rate == 0.0:
+        """Returns (y, mask). Infer mode is the identity with mask None.
+
+        Train mode consumes x.size draws from rng at every rate; at rate 0
+        the mask is all ones and y has x's values.
+        """
+        if mode == "infer":
             return x, None
         if mode != "train":
             raise InvalidParameterError(f"unknown mode {mode!r}")
@@ -562,11 +577,16 @@ def relu(x):
 
 
 def relu_backward(y, grad_out):
-    """Backward through relu given its output y (y > 0 iff input was > 0)."""
+    """Backward through relu given its output y (y > 0 iff input was > 0).
+
+    grad_out is consumed: the gradient is written over it and returned.  A
+    grad_out that is not C-contiguous and writeable is copied first and
+    left as it was.
+    """
     _same_shape("grad_out", grad_out.shape, "output", y.shape)
-    out = np.empty(y.shape, dtype=grad_out.dtype)
-    flat_y, flat_g, flat_out = y.reshape(-1), grad_out.reshape(-1), out.reshape(-1)
-    _each_band(lambda b: np.multiply(flat_g[b], flat_y[b] > 0, out=flat_out[b]),
+    out = np.require(grad_out, requirements="CW")
+    flat_y, flat_out = y.reshape(-1), out.reshape(-1)
+    _each_band(lambda b: np.multiply(flat_out[b], flat_y[b] > 0, out=flat_out[b]),
                y, y.size, y.itemsize)
     return out
 

@@ -2,6 +2,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -184,11 +185,13 @@ class TestBatchNorm2d:
         layer = nn.BatchNorm2d(16)
         eps = layer.epsilon
         _, cache = layer.forward_train_nhwc(x)
-        inv = cache[2]
-        _, g_gamma, g_beta = layer.backward_nhwc(cache, gy)
+        centred, inv = cache
         cnt = x.size // 16
         mean = np.einsum("nhwc->c", x, dtype=np.float64) / cnt
-        _assert_float64_sum(cache[1], mean)
+        # the cached map is x less the float64 mean, rounded once to float32
+        np.testing.assert_array_equal(centred.view(np.uint32),
+                                      (x - mean.astype(np.float32)).view(np.uint32))
+        _, g_gamma, g_beta = layer.backward_nhwc(cache, gy)
         _assert_float64_sum(g_beta, np.einsum("nhwc->c", gy, dtype=np.float64))
         var = np.einsum("nhwc,nhwc->c", x, x, dtype=np.float64) / cnt - mean ** 2
         var_got = 1.0 / np.square(inv.astype(np.float64)) - eps
@@ -843,33 +846,53 @@ class TestPassBands:
             Cc = (-A * g_beta / cnt).astype(dtype)
             want = [d * A + layer.beta, gy * A + d * B + Cc, g_gamma, g_beta]
 
+            x_bits, gy_bits = x.view(_bits(dtype)).copy(), gy.view(_bits(dtype)).copy()
             y, cache = layer.forward_train_nhwc(x)
+            centred = cache[0]
+            assert not any(np.shares_memory(x, a) for a in cache)
             got = [y, *layer.backward_nhwc(cache, gy)]
             for g, w in zip(got, want):
                 assert g.dtype == dtype and g.shape == w.shape
                 np.testing.assert_array_equal(g.view(_bits(dtype)), w.view(_bits(dtype)),
                                               err_msg=f"N = {N}, {workers} workers")
+            # the input gradient is written over the cached centred input,
+            # so the cache serves one backward pass; x and gy are only read
+            assert got[1] is centred
+            with pytest.raises(InvalidParameterError, match="used by a backward pass"):
+                layer.backward_nhwc(cache, gy)
+            np.testing.assert_array_equal(x.view(_bits(dtype)), x_bits)
+            np.testing.assert_array_equal(gy.view(_bits(dtype)), gy_bits)
 
     @dtypes
     @band_rows
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
     def test_relu_backward_matches_unbanded_formula(self, monkeypatch, spreads, rows, dtype):
+        # relu_backward writes over a C-contiguous, writeable grad_out and
+        # returns it; a transposed or read-only one is copied and left as it was
         self._budget(monkeypatch, rows, dtype, self.W * self.C)
+        bits = _bits(dtype)
         for N, workers in spreads():
             shape = (N, self.H, self.W, self.C)
-            msg = f"N = {N}, {workers} workers"
             x = self._gauss(84, dtype, shape)
             x.flat[::17], x.flat[5::23] = -0.0, np.nan
             y = nn.relu(x)
             assert y.dtype == dtype
-            np.testing.assert_array_equal(y.view(_bits(dtype)),
-                                          np.maximum(x, 0).view(_bits(dtype)), err_msg=msg)
-            gy = self._gauss(85, dtype, shape)  # negative cells where y == 0 must read -0.0
-            gy.flat[3::19], gy.flat[7::29], gy.flat[11::31] = np.nan, np.inf, -np.inf
-            got = nn.relu_backward(y, gy)
-            assert got.dtype == dtype
-            np.testing.assert_array_equal(got.view(_bits(dtype)),
-                                          (gy * (y > 0)).view(_bits(dtype)), err_msg=msg)
+            np.testing.assert_array_equal(y.view(bits), np.maximum(x, 0).view(bits),
+                                          err_msg=f"N = {N}, {workers} workers")
+            for layout in ("contiguous", "transposed", "read-only"):
+                msg = f"N = {N}, {workers} workers, {layout}"
+                gy = (self._gauss(85, dtype, shape[::-1]).T if layout == "transposed"
+                      else self._gauss(85, dtype, shape))
+                # negative cells where y == 0 must read -0.0
+                gy.flat[3::19], gy.flat[7::29], gy.flat[11::31] = np.nan, np.inf, -np.inf
+                gy.flags.writeable = layout != "read-only"
+                want, gy_bits = (gy * (y > 0)).view(bits), gy.view(bits).copy()
+                got = nn.relu_backward(y, gy)
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(got.view(bits), want, err_msg=msg)
+                assert np.shares_memory(got, gy) == (layout == "contiguous"), msg
+                if layout != "contiguous":
+                    np.testing.assert_array_equal(gy.view(bits), gy_bits, err_msg=msg)
 
     @dtypes
     @band_rows
@@ -896,11 +919,12 @@ class TestPassBands:
             y, cache = layer.forward_train_nhwc(x)
             r = nn.relu(y)
             p, p_cache = nn.maxpool2x2_forward_nhwc(r)
-            out = [y, *layer.backward_nhwc(cache, gy), r, nn.relu_backward(r, gy), p,
+            out = [y, *layer.backward_nhwc(cache, gy), r, nn.relu_backward(r, gy.copy()), p,
                    nn.maxpool2x2_backward_nhwc(p_cache, gp)]
-            return [a.view(np.uint32) for a in out], cache, r, p_cache
+            return [a.view(np.uint32) for a in out], r, p_cache
 
-        _, cache, r, p_cache = passes()
+        _, r, p_cache = passes()
+        _, cache = layer.forward_train_nhwc(x)  # a backward pass uses its cache up
         spread = nn._spread
 
         def failing(task, items):
@@ -914,7 +938,7 @@ class TestPassBands:
         for call in (lambda: layer.forward_train_nhwc(x),
                      lambda: layer.backward_nhwc(cache, gy),
                      lambda: nn.relu(x),
-                     lambda: nn.relu_backward(r, gy),
+                     lambda: nn.relu_backward(r, gy.copy()),
                      lambda: nn.maxpool2x2_forward_nhwc(r),
                      lambda: nn.maxpool2x2_backward_nhwc(p_cache, gp)):
             with pytest.raises(RuntimeError, match="run 1"):
@@ -925,6 +949,30 @@ class TestPassBands:
         inline, *_ = passes()
         for got, want in zip(threaded, inline):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("backward", ["relu", "batchnorm"])
+    def test_backward_allocates_no_full_size_map(self, monkeypatch, two_workers, workers,
+                                                 backward):
+        # each writes the input gradient over a map that it consumes, so it
+        # allocates only band-sized temporaries: under half of one map here
+        monkeypatch.setattr(nn, "_WORKERS", workers)
+        monkeypatch.setattr(nn, "_POOL", two_workers)
+        x, gy = _gauss32(98, 2, 128, 128, 16), _gauss32(99, 2, 128, 128, 16)
+        layer = nn.BatchNorm2d(16)
+        if backward == "relu":
+            y = nn.relu(x)
+            call = lambda: nn.relu_backward(y, gy)  # noqa: E731
+        else:
+            _, cache = layer.forward_train_nhwc(x)
+            call = lambda: layer.backward_nhwc(cache, gy)  # noqa: E731
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes // 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_runs_keep_the_callers_error_state(self, monkeypatch, two_workers, workers):
@@ -976,12 +1024,22 @@ class TestDropout:
         with pytest.raises(InvalidParameterError):
             nn.Dropout(1.0)
 
+    def test_rate_zero_keeps_values_and_draws(self):
+        x = _gauss32(14, 3, 5)
+        rng, twin = RngStream(15), RngStream(15)
+        y, mask = nn.Dropout(0.0).forward(x, "train", rng)
+        np.testing.assert_array_equal(y.view(np.uint32), x.view(np.uint32))
+        np.testing.assert_array_equal(mask, np.ones_like(x))
+        twin.uniform(x.size)
+        np.testing.assert_array_equal(rng.uniform(4), twin.uniform(4))
+
     @pytest.mark.parametrize("mode, rng, error", [
         ("eval", RngStream(1), "unknown mode 'eval'"),
         ("train", None, "train-mode dropout needs an RngStream")])
     def test_bad_mode_or_missing_rng_rejected(self, mode, rng, error):
-        with pytest.raises(InvalidParameterError, match=error):
-            nn.Dropout(0.5).forward(np.ones(4, dtype=np.float32), mode, rng)
+        for rate in (0.5, 0.0):
+            with pytest.raises(InvalidParameterError, match=error):
+                nn.Dropout(rate).forward(np.ones(4, dtype=np.float32), mode, rng)
 
 
 class TestBceLoss:
