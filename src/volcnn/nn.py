@@ -65,9 +65,9 @@ data parallelism of Krizhevsky 2014 (arXiv:1404.5997); NumPy releases the
 GIL in the GEMMs, the patch copies and the element-wise loops.  A
 correlation task runs its image's row bands in order and writes only its
 y[n]; a grad_w task returns its image's product and grad_b sums, and the
-caller adds both in image order.  The element-wise passes (train-mode
-batchnorm, relu, the pool and their backward passes) run through one
-helper, _each_band, over the _PASS_BYTES bands of the map (below): for a
+caller adds both in image order.  The element-wise passes (batchnorm,
+relu, the pool and their backward passes) run through one helper,
+_each_band, over the _PASS_BYTES bands of the map (below): for a
 map of two or more images it runs one task per worker, each over one run
 of consecutive bands, and it returns each band's result in band order.  So
 every output and gradient bit is that of the inline loop.  The pool has
@@ -103,10 +103,11 @@ the map's dtype while the band is in cache: one float32 sum in order over a
 4x512x512 map drifted 4.8e-4 off float64, relative.
 
 The per-element passes over full-size maps run band by band, rows that fit
-_PASS_BYTES at a time, and make no full-size temporary beyond their output.
+_PASS_BYTES at a time, and make no full-size temporary; batchnorm and relu
+write their outputs over the maps they are given.
 Train-mode batchnorm takes its mean in one banded pass, then centres its
 input band by band into the buffer d that its cache keeps, and writes its
-scaled and shifted output to a second one.  Its backward pass takes
+scaled and shifted output over its input.  Its backward pass takes
 grad_gamma's dots and grad_beta's sums from grad_out and d, then writes
 the input gradient over d as d*B + gy*A + C (addition commutes, so the
 bits are those of gy*A + d*B + C), with one band-sized temporary.  The
@@ -409,13 +410,16 @@ class BatchNorm2d:
     def forward_train_nhwc(self, x):
         """Normalize by batch statistics; returns (y, cache), updates running stats.
 
-        The cache is [x - mean, inv], a list; it does not reference x.
+        The cache is [x - mean, inv], a list; it does not reference x.  x is
+        consumed: y is written over it and returned.  An x that is not
+        C-contiguous and writeable is copied first and left as it was.
         """
         self._check(x)
         N, H, W, C = x.shape
         if N < 2:
             raise ShapeError(f"train-mode batchnorm needs batch size >= 2, "
                              f"got input {x.shape}")
+        x = np.require(x, requirements="CW")
         cnt, n, row_bytes = N * H * W, N * H, W * C * x.itemsize
         xr, rows = _rows(x), np.empty((n, W * C), dtype=x.dtype)
         # Centre before squaring: E[x^2] - E[x]^2 cancels in float32 once the
@@ -431,28 +435,39 @@ class BatchNorm2d:
         var = sum(_each_band(centre, x, n, row_bytes), np.zeros(C)) / cnt
         inv = (1.0 / np.sqrt(var + self.epsilon)).astype(x.dtype)
         scale, shift = np.tile(self.gamma * inv, W), np.tile(self.beta, W)
-        y = np.empty_like(rows)
 
         def scale_and_shift(b):
-            band = np.multiply(rows[b], scale, out=y[b])
+            band = np.multiply(rows[b], scale, out=xr[b])
             band += shift
 
         _each_band(scale_and_shift, x, n, row_bytes)
         m = x.dtype.type(self.momentum)
         self.running_mean = m * self.running_mean + (1 - m) * mean
         self.running_var = m * self.running_var + (1 - m) * var.astype(x.dtype)
-        return y.reshape(x.shape), [rows.reshape(x.shape), inv]
+        return x, [rows.reshape(x.shape), inv]
 
     def forward_infer_nhwc(self, x):
-        """Normalize by the running statistics."""
+        """Normalize by the running statistics.
+
+        x is consumed: the result is written over it and returned.  An x
+        that is not C-contiguous and writeable is copied first and left as
+        it was.
+        """
         self._check(x)
-        W = x.shape[2]
+        N, H, W, C = x.shape
         inv = (1.0 / np.sqrt(self.running_var + self.epsilon)).astype(x.dtype)
         a = self.gamma * inv
         b = self.beta - self.running_mean * a
-        y = np.multiply(_rows(x), np.tile(a, W), dtype=x.dtype)
-        y += np.tile(b, W)
-        return y.reshape(x.shape)
+        a, b = np.tile(a, W), np.tile(b, W)
+        x = np.require(x, requirements="CW")
+        xr = _rows(x)
+
+        def scale_and_shift(band):
+            y = np.multiply(xr[band], a, out=xr[band], dtype=x.dtype)
+            y += b
+
+        _each_band(scale_and_shift, x, N * H, W * C * x.itemsize)
+        return x
 
     def backward_nhwc(self, cache, grad_out):
         """Gradients of forward_train_nhwc: (grad_input, grad_gamma, grad_beta).
@@ -569,11 +584,15 @@ class Dropout:
 
 
 def relu(x):
-    """max(x, 0), band by band (_each_band)."""
-    y = np.empty(x.shape, dtype=x.dtype)
-    flat_x, flat_y = x.reshape(-1), y.reshape(-1)
-    _each_band(lambda b: np.maximum(flat_x[b], 0, out=flat_y[b]), x, x.size, x.itemsize)
-    return y
+    """max(x, 0), band by band (_each_band).
+
+    x is consumed: the result is written over it and returned.  An x that
+    is not C-contiguous and writeable is copied first and left as it was.
+    """
+    out = np.require(x, requirements="CW")
+    flat = out.reshape(-1)
+    _each_band(lambda b: np.maximum(flat[b], 0, out=flat[b]), out, out.size, out.itemsize)
+    return out
 
 
 def relu_backward(y, grad_out):

@@ -54,11 +54,12 @@ def check_batchnorm(seed):
     x = to_nhwc(_gauss(rng, n, c, hw, hw) * 2.0)
     r = to_nhwc(_gauss(rng, n, c, hw, hw))
 
+    # the forward pass writes over its input, and fd_grad perturbs x in place
     def loss():
-        y, _ = layer.forward_train_nhwc(x)
+        y, _ = layer.forward_train_nhwc(x.copy())
         return float(np.sum(y * r))
 
-    _, cache = layer.forward_train_nhwc(x)
+    _, cache = layer.forward_train_nhwc(x.copy())
     gx, gg, gb = layer.backward_nhwc(cache, r)
     return max(
         max_rel_err(gx, fd_grad(loss, x, H_FD)),
@@ -91,8 +92,9 @@ def check_relu(seed):
     x = _gauss(rng, 3, 7)
     x += np.sign(x) * 0.01  # keep elements away from the kink
     r = _gauss(rng, 3, 7)
-    loss = lambda: float(np.sum(nn.relu(x) * r))
-    gx = nn.relu_backward(nn.relu(x), r.copy())  # it writes over its grad_out
+    # each pass writes over its input (relu's x, relu_backward's grad_out)
+    loss = lambda: float(np.sum(nn.relu(x.copy()) * r))
+    gx = nn.relu_backward(nn.relu(x.copy()), r.copy())
     return max_rel_err(gx, fd_grad(loss, x, H_FD))
 
 

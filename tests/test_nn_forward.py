@@ -91,7 +91,7 @@ class TestBatchNorm2d:
     def test_infer_identity_normalization(self):
         layer = nn.BatchNorm2d(3)
         x = to_nhwc(_gauss32(1, 2, 3, 4, 4))
-        y = layer.forward_infer_nhwc(x)
+        y = layer.forward_infer_nhwc(x.copy())
         np.testing.assert_allclose(y, x / np.sqrt(1.0 + layer.epsilon), rtol=1e-6)
         assert np.max(np.abs(y - x)) < 0.02 * np.max(np.abs(x)) + 1e-3
 
@@ -109,7 +109,7 @@ class TestBatchNorm2d:
         layer.gamma[:] = 2.0
         layer.beta[:] = 3.0
         x = to_nhwc(3.0 * _gauss32(3, 4, 2, 4, 4))
-        y, _ = layer.forward_train_nhwc(x)
+        y, _ = layer.forward_train_nhwc(x.copy())
         ref = nn.BatchNorm2d(2)
         xhat, _ = ref.forward_train_nhwc(x)
         np.testing.assert_allclose(y, 2.0 * xhat + 3.0, rtol=1e-5, atol=1e-5)
@@ -184,20 +184,21 @@ class TestBatchNorm2d:
         gy = gen.standard_normal(shape, dtype=np.float32)
         layer = nn.BatchNorm2d(16)
         eps = layer.epsilon
-        _, cache = layer.forward_train_nhwc(x)
-        centred, inv = cache
+        # every expected value first: the forward pass writes y over x
         cnt = x.size // 16
         mean = np.einsum("nhwc->c", x, dtype=np.float64) / cnt
-        # the cached map is x less the float64 mean, rounded once to float32
-        np.testing.assert_array_equal(centred.view(np.uint32),
-                                      (x - mean.astype(np.float32)).view(np.uint32))
-        _, g_gamma, g_beta = layer.backward_nhwc(cache, gy)
-        _assert_float64_sum(g_beta, np.einsum("nhwc->c", gy, dtype=np.float64))
         var = np.einsum("nhwc,nhwc->c", x, x, dtype=np.float64) / cnt - mean ** 2
-        var_got = 1.0 / np.square(inv.astype(np.float64)) - eps
-        assert np.abs(var_got - var).max() / var.max() <= 1e-6
         want = ((np.einsum("nhwc,nhwc->c", gy, x, dtype=np.float64)
                  - mean * np.einsum("nhwc->c", gy, dtype=np.float64)) / np.sqrt(var + eps))
+        # the cached map is x less the float64 mean, rounded once to float32
+        want_centred = x - mean.astype(np.float32)
+        _, cache = layer.forward_train_nhwc(x)
+        centred, inv = cache
+        np.testing.assert_array_equal(centred.view(np.uint32), want_centred.view(np.uint32))
+        _, g_gamma, g_beta = layer.backward_nhwc(cache, gy)
+        _assert_float64_sum(g_beta, np.einsum("nhwc->c", gy, dtype=np.float64))
+        var_got = 1.0 / np.square(inv.astype(np.float64)) - eps
+        assert np.abs(var_got - var).max() / var.max() <= 1e-6
         assert np.abs(g_gamma - want).max() / np.abs(want).max() <= 1e-6
 
     @pytest.mark.parametrize("shape", [(2, 3, 1, 4), (2, 3, 5, 1), (3, 4, 6, 5)],
@@ -220,7 +221,7 @@ class TestBatchNorm2d:
         inv = (1.0 / np.sqrt(layer.running_var + eps)).astype(np.float32)
         a = layer.gamma * inv
         want = [x * a + (layer.beta - layer.running_mean * a)]
-        got = [layer.forward_infer_nhwc(x)]
+        got = [layer.forward_infer_nhwc(x.copy())]
 
         mean = (np.einsum("nhwc->c", x, dtype=np.float64) / cnt).astype(np.float32)
         d = x - mean
@@ -389,6 +390,34 @@ def _pool_against_reference(x_nchw, gy_nchw):
 def _bits(dtype):
     """The unsigned integer dtype a float array is compared through, bit for bit."""
     return np.dtype(f"u{np.dtype(dtype).itemsize}")
+
+
+# the layouts a pass that consumes its input is tested on
+_LAYOUTS = ("contiguous", "transposed", "read-only")
+
+
+def _laid_out(a, layout):
+    """A copy of a's values: C-contiguous, a transposed view, or read-only."""
+    out = np.ascontiguousarray(a.T).T if layout == "transposed" else a.copy()
+    out.flags.writeable = layout != "read-only"
+    return out
+
+
+def _consumes(call, x, want, msg=""):
+    """call(x), whose result (its first value, if it returns a tuple) must
+    have want's bits.  The result is written over a C-contiguous, writeable
+    x; any other x is copied and left as it was.  Returns what call did."""
+    bits = _bits(want.dtype)
+    x_bits = x.view(bits).copy()
+    out = call(x)
+    got = out[0] if isinstance(out, tuple) else out
+    assert got.dtype == want.dtype and got.shape == want.shape, msg
+    np.testing.assert_array_equal(got.view(bits), want.view(bits), err_msg=msg)
+    consumed = x.flags.c_contiguous and x.flags.writeable
+    assert np.shares_memory(got, x) == consumed, msg
+    if not consumed:
+        np.testing.assert_array_equal(x.view(bits), x_bits, err_msg=msg)
+    return out
 
 
 def _assert_float64_sum(got, want):
@@ -568,10 +597,12 @@ class TestLayersAreTheirArrays:
         layer.gamma, layer.beta = np.full(5, 2.0, np.float32), np.full(5, 3.0, np.float32)
         layer.running_mean, layer.running_var = np.zeros(5, np.float32), np.ones(5, np.float32)
         x = 4.0 * _gauss32(76, 4, 3, 3, 5)
-        y, _ = layer.forward_train_nhwc(x)
+        y, _ = layer.forward_train_nhwc(x.copy())
         np.testing.assert_allclose(y.mean(axis=(0, 1, 2)), 3.0, atol=1e-5)
         np.testing.assert_allclose(y.std(axis=(0, 1, 2)), 2.0, rtol=1e-3)
-        assert layer.forward_infer_nhwc(x).shape == x.shape
+        a = layer.gamma / np.sqrt(layer.running_var + layer.epsilon)
+        want = (x - layer.running_mean) * a + layer.beta
+        np.testing.assert_allclose(layer.forward_infer_nhwc(x), want, rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("name, shape", [
         ("weights", (3, 2, 2, 3)),   # even kh
@@ -622,8 +653,8 @@ class TestLayersAreTheirArrays:
         want = conv2d_reference(x, conv.weights, conv.bias)
         np.testing.assert_allclose(to_nchw(y), want, rtol=0, atol=1e-12 * np.abs(want).max())
         bn = nn.BatchNorm2d(3)
-        z, cache = bn.forward_train_nhwc(y)
-        outs = [y, gx, gw, gb, z, *bn.backward_nhwc(cache, z), bn.forward_infer_nhwc(y),
+        z, cache = bn.forward_train_nhwc(y.copy())
+        outs = [y, gx, gw, gb, z, *bn.backward_nhwc(cache, z), bn.forward_infer_nhwc(y.copy()),
                 bn.running_mean, bn.running_var]
         assert [a.dtype for a in outs] == [np.float64] * len(outs)
 
@@ -826,6 +857,9 @@ class TestPassBands:
     @dtypes
     @band_rows
     def test_batchnorm_matches_unbanded_formulas(self, monkeypatch, spreads, rows, dtype):
+        # both forward passes write their output over a C-contiguous,
+        # writeable x and return it; a transposed or read-only x is copied
+        # and left as it was
         H, W, C = self.H, self.W, self.C
         self._budget(monkeypatch, rows, dtype, W * C)
         for N, workers in spreads():
@@ -833,6 +867,8 @@ class TestPassBands:
             layer = nn.BatchNorm2d(C)
             layer.gamma = 1.0 + 0.5 * self._gauss(80, dtype, (C,))
             layer.beta = self._gauss(81, dtype, (C,))
+            layer.running_mean = self._gauss(62, dtype, (C,))
+            layer.running_var = 0.5 + np.square(self._gauss(63, dtype, (C,)))
             x = 2.0 + 3.0 * self._gauss(82, dtype, (N, H, W, C))
             gy = self._gauss(83, dtype, (N, H, W, C))
 
@@ -844,55 +880,51 @@ class TestPassBands:
             g_beta = np.einsum("nhwc->c", gy, dtype=np.float64).astype(dtype)
             B = (-A * inv * g_gamma / cnt).astype(dtype)
             Cc = (-A * g_beta / cnt).astype(dtype)
-            want = [d * A + layer.beta, gy * A + d * B + Cc, g_gamma, g_beta]
+            want = [gy * A + d * B + Cc, g_gamma, g_beta]
+            gy_bits = gy.view(_bits(dtype)).copy()
 
-            x_bits, gy_bits = x.view(_bits(dtype)).copy(), gy.view(_bits(dtype)).copy()
-            y, cache = layer.forward_train_nhwc(x)
-            centred = cache[0]
-            assert not any(np.shares_memory(x, a) for a in cache)
-            got = [y, *layer.backward_nhwc(cache, gy)]
-            for g, w in zip(got, want):
-                assert g.dtype == dtype and g.shape == w.shape
-                np.testing.assert_array_equal(g.view(_bits(dtype)), w.view(_bits(dtype)),
-                                              err_msg=f"N = {N}, {workers} workers")
-            # the input gradient is written over the cached centred input,
-            # so the cache serves one backward pass; x and gy are only read
-            assert got[1] is centred
-            with pytest.raises(InvalidParameterError, match="used by a backward pass"):
-                layer.backward_nhwc(cache, gy)
-            np.testing.assert_array_equal(x.view(_bits(dtype)), x_bits)
-            np.testing.assert_array_equal(gy.view(_bits(dtype)), gy_bits)
+            for layout in _LAYOUTS:
+                msg = f"N = {N}, {workers} workers, {layout}"
+                # running statistics move with each train-mode call
+                a = layer.gamma * (1.0 / np.sqrt(layer.running_var + layer.epsilon)).astype(dtype)
+                _consumes(layer.forward_infer_nhwc, _laid_out(x, layout),
+                          x * a + (layer.beta - layer.running_mean * a), msg)
+                xs = _laid_out(x, layout)
+                _, cache = _consumes(layer.forward_train_nhwc, xs, d * A + layer.beta, msg)
+                centred = cache[0]
+                assert not any(np.shares_memory(xs, a) for a in cache), msg
+                got = layer.backward_nhwc(cache, gy)
+                for g, w in zip(got, want):
+                    assert g.dtype == dtype and g.shape == w.shape
+                    np.testing.assert_array_equal(g.view(_bits(dtype)), w.view(_bits(dtype)),
+                                                  err_msg=msg)
+                # the input gradient is written over the cached centred
+                # input, so the cache serves one backward pass; gy is only read
+                assert got[0] is centred
+                with pytest.raises(InvalidParameterError, match="used by a backward pass"):
+                    layer.backward_nhwc(cache, gy)
+                np.testing.assert_array_equal(gy.view(_bits(dtype)), gy_bits)
 
     @dtypes
     @band_rows
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
     def test_relu_backward_matches_unbanded_formula(self, monkeypatch, spreads, rows, dtype):
-        # relu_backward writes over a C-contiguous, writeable grad_out and
-        # returns it; a transposed or read-only one is copied and left as it was
+        # relu writes over a C-contiguous, writeable x and relu_backward
+        # over such a grad_out, and each returns it; a transposed or
+        # read-only one is copied and left as it was
         self._budget(monkeypatch, rows, dtype, self.W * self.C)
-        bits = _bits(dtype)
         for N, workers in spreads():
             shape = (N, self.H, self.W, self.C)
             x = self._gauss(84, dtype, shape)
             x.flat[::17], x.flat[5::23] = -0.0, np.nan
-            y = nn.relu(x)
-            assert y.dtype == dtype
-            np.testing.assert_array_equal(y.view(bits), np.maximum(x, 0).view(bits),
-                                          err_msg=f"N = {N}, {workers} workers")
-            for layout in ("contiguous", "transposed", "read-only"):
+            gy = self._gauss(85, dtype, shape)
+            # negative cells where y == 0 must read -0.0
+            gy.flat[3::19], gy.flat[7::29], gy.flat[11::31] = np.nan, np.inf, -np.inf
+            for layout in _LAYOUTS:
                 msg = f"N = {N}, {workers} workers, {layout}"
-                gy = (self._gauss(85, dtype, shape[::-1]).T if layout == "transposed"
-                      else self._gauss(85, dtype, shape))
-                # negative cells where y == 0 must read -0.0
-                gy.flat[3::19], gy.flat[7::29], gy.flat[11::31] = np.nan, np.inf, -np.inf
-                gy.flags.writeable = layout != "read-only"
-                want, gy_bits = (gy * (y > 0)).view(bits), gy.view(bits).copy()
-                got = nn.relu_backward(y, gy)
-                assert got.dtype == dtype
-                np.testing.assert_array_equal(got.view(bits), want, err_msg=msg)
-                assert np.shares_memory(got, gy) == (layout == "contiguous"), msg
-                if layout != "contiguous":
-                    np.testing.assert_array_equal(gy.view(bits), gy_bits, err_msg=msg)
+                y = _consumes(nn.relu, _laid_out(x, layout), np.maximum(x, 0), msg)
+                _consumes(lambda g: nn.relu_backward(y, g), _laid_out(gy, layout),
+                          gy * (y > 0), msg)
 
     @dtypes
     @band_rows
@@ -911,20 +943,23 @@ class TestPassBands:
         monkeypatch.setattr(nn, "_WORKERS", 2)
         monkeypatch.setattr(nn, "_POOL", two_workers)
         self._budget(monkeypatch, 2, np.float32, 2 * W * C)
-        layer = nn.BatchNorm2d(C)
+        layer, frozen = nn.BatchNorm2d(C), nn.BatchNorm2d(C)  # frozen: infer mode only
+        frozen.running_mean = _gauss32(91, C)
         x, gy = _gauss32(88, N, 2 * H, W, C), _gauss32(89, N, 2 * H, W, C)
         gp = _gauss32(90, N, H, W // 2, C)
 
+        # the forward passes write over their inputs, so each gets a copy
         def passes():
-            y, cache = layer.forward_train_nhwc(x)
-            r = nn.relu(y)
+            y, cache = layer.forward_train_nhwc(x.copy())
+            r = nn.relu(y.copy())
             p, p_cache = nn.maxpool2x2_forward_nhwc(r)
-            out = [y, *layer.backward_nhwc(cache, gy), r, nn.relu_backward(r, gy.copy()), p,
+            out = [y, *layer.backward_nhwc(cache, gy), frozen.forward_infer_nhwc(x.copy()), r,
+                   nn.relu_backward(r, gy.copy()), p,
                    nn.maxpool2x2_backward_nhwc(p_cache, gp)]
             return [a.view(np.uint32) for a in out], r, p_cache
 
         _, r, p_cache = passes()
-        _, cache = layer.forward_train_nhwc(x)  # a backward pass uses its cache up
+        _, cache = layer.forward_train_nhwc(x.copy())  # a backward pass uses its cache up
         spread = nn._spread
 
         def failing(task, items):
@@ -935,9 +970,10 @@ class TestPassBands:
             return spread(run, items)
 
         monkeypatch.setattr(nn, "_spread", failing)
-        for call in (lambda: layer.forward_train_nhwc(x),
+        for call in (lambda: layer.forward_train_nhwc(x.copy()),
                      lambda: layer.backward_nhwc(cache, gy),
-                     lambda: nn.relu(x),
+                     lambda: frozen.forward_infer_nhwc(x.copy()),
+                     lambda: nn.relu(x.copy()),
                      lambda: nn.relu_backward(r, gy.copy()),
                      lambda: nn.maxpool2x2_forward_nhwc(r),
                      lambda: nn.maxpool2x2_backward_nhwc(p_cache, gp)):
@@ -973,6 +1009,28 @@ class TestPassBands:
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes // 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("forward", ["relu", "batchnorm_infer", "batchnorm_train"])
+    def test_forward_allocates_only_its_cache(self, monkeypatch, two_workers, workers,
+                                              forward):
+        # each writes its output over the map that it consumes, so it
+        # allocates only band-sized temporaries, and train-mode batchnorm
+        # its one-map cache besides: under half a map, or 1.5 maps
+        monkeypatch.setattr(nn, "_WORKERS", workers)
+        monkeypatch.setattr(nn, "_POOL", two_workers)
+        x = _gauss32(98, 2, 128, 128, 16)
+        layer = nn.BatchNorm2d(16)
+        call, maps = {"relu": (lambda: nn.relu(x), 0.5),
+                      "batchnorm_infer": (lambda: layer.forward_infer_nhwc(x), 0.5),
+                      "batchnorm_train": (lambda: layer.forward_train_nhwc(x), 1.5)}[forward]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < maps * x.nbytes
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_runs_keep_the_callers_error_state(self, monkeypatch, two_workers, workers):
